@@ -90,6 +90,8 @@ EvalMetrics& GetEvalMetrics() {
   return m;
 }
 
+}  // namespace
+
 void PublishEvalMetrics(const EvalStats& stats, double total_ms) {
   if (!obs::MetricsEnabled()) return;
   EvalMetrics& m = GetEvalMetrics();
@@ -107,8 +109,6 @@ void PublishEvalMetrics(const EvalStats& stats, double total_ms) {
   m.hash_join_probes->Increment(stats.hash_join_probes);
   m.fixpoint_ms->Observe(total_ms);
 }
-
-}  // namespace
 
 const char* EvalStrategyName(EvalStrategy strategy) {
   switch (strategy) {
@@ -189,11 +189,7 @@ Result<Evaluator> Evaluator::Make(VideoDatabase* db, std::vector<Rule> rules,
 
 Result<Interpretation> Evaluator::Edb() const {
   Interpretation edb;
-  for (const std::string& relation : db_->RelationNames()) {
-    for (const Fact& fact : db_->FactsFor(relation)) {
-      edb.Add(fact);
-    }
-  }
+  edb.AddStoredRelations(*db_);
   for (const Fact& fact : seed_facts_) edb.Add(fact);
   return edb;
 }

@@ -162,6 +162,11 @@ struct EvalStats {
   }
 };
 
+/// Folds one evaluation's counters into the process-wide vqldb_eval_*
+/// metrics (one fixpoint, `stats.iterations` rounds, every work counter,
+/// the wall time). Each engine calls it once per evaluation.
+void PublishEvalMetrics(const EvalStats& stats, double total_ms);
+
 /// Per-rule profile of one Fixpoint() run (EvalOptions::collect_profile):
 /// one entry per compiled rule, in rule order.
 struct RuleProfile {

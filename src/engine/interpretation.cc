@@ -4,6 +4,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
+#include "src/model/database.h"
 #include "src/obs/metrics.h"
 #include "src/obs/stats.h"
 
@@ -209,6 +210,14 @@ bool Interpretation::Add(Fact fact) {
 
 bool Interpretation::AddRow(const std::string& predicate, RowRef row) {
   return InsertRow(predicate, row.ids, row.arity, /*dict_bytes=*/0);
+}
+
+void Interpretation::AddStoredRelations(const VideoDatabase& db) {
+  for (const auto& [predicate, rel] : db.Relations()) {
+    for (size_t pos = 0; pos < rel.rows(); ++pos) {
+      InsertRow(predicate, rel.row(pos), rel.arity(), /*dict_bytes=*/0);
+    }
+  }
 }
 
 bool Interpretation::Contains(const Fact& fact) const {

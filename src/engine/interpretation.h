@@ -29,6 +29,8 @@
 
 namespace vqldb {
 
+class VideoDatabase;
+
 /// A mutable, indexed set of ground facts. Insertion order is preserved per
 /// predicate (useful for deterministic output); membership is hash-based
 /// over symbol-id rows.
@@ -155,6 +157,10 @@ class Interpretation {
   /// borrowed from another Interpretation insert directly — the id-level
   /// merge path of the fixpoint engine). Returns true iff new.
   bool AddRow(const std::string& predicate, RowRef row);
+
+  /// Adds every stored relation of `db`, row by row, from its id rows (no
+  /// re-interning): the bottom-up engines' copy of the EDB.
+  void AddStoredRelations(const VideoDatabase& db);
 
   bool Contains(const Fact& fact) const;
 

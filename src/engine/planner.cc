@@ -38,17 +38,23 @@ Planner::Planner(const VideoDatabase* db, obs::StatsSnapshot snapshot)
     ewma_[{s.predicate, s.adornment}] = s.ewma;
   }
   num_entities_ = static_cast<double>(db->Entities().size());
-  num_intervals_ = static_cast<double>(db->AllIntervals().size());
+  num_intervals_ = static_cast<double>(db->BaseIntervals().size() +
+                                       db->derived_interval_count());
 }
 
 double Planner::DistinctOf(const std::string& predicate, size_t column) const {
+  const StoredRelation& stored = db_->Relation(predicate);
+  if (stored.rows() > 0) {
+    return static_cast<double>(
+        stored.Distinct(static_cast<uint32_t>(column)));
+  }
   auto it = distinct_.find({predicate, column});
   if (it != distinct_.end() && it->second >= 1) return it->second;
   return kDefaultDistinct;
 }
 
 double Planner::EstimateRows(const std::string& predicate) const {
-  size_t stored = db_->FactsFor(predicate).size();
+  size_t stored = db_->Relation(predicate).rows();
   if (stored > 0) return static_cast<double>(stored);
   // Derived relations never live in the database; the column sketches have
   // seen their rows if any fixpoint materialized them while observed. The

@@ -4,10 +4,11 @@
 // the stats-blind bound-first greedy when EvalOptions::reorder_body is on).
 //
 // Estimates come from three sources, in preference order:
-//   1. stored EDB cardinalities (VideoDatabase::FactsFor — exact);
-//   2. per-column HyperLogLog distinct sketches and per-(predicate,
-//      adornment) selectivity EWMAs from the statistics collector (derived
-//      relations appear here once the fixpoint has observed them);
+//   1. stored EDB row counts and per-column distinct counts, read from the
+//      database's postings (VideoDatabase::Relation — exact);
+//   2. per-column HyperLogLog distinct sketches of derived relations and
+//      per-(predicate, adornment) selectivity EWMAs from the statistics
+//      collector (derived relations appear once a fixpoint observed them);
 //   3. fixed defaults when nothing has been observed yet (cold start).
 // The cost formulas are deliberately coarse — their job is to separate
 // "touch a handful of rows through a bound goal" from "derive the whole
@@ -58,8 +59,8 @@ struct PlanInputs {
 class Planner : public LiteralOrderer {
  public:
   /// Captures the statistics snapshot and the database's current
-  /// cardinalities (entity/interval counts; EDB row counts are read live —
-  /// FactsFor returns a reference, so the reads are cheap).
+  /// cardinalities (entity/interval counts; EDB row and distinct counts are
+  /// read live from the stored relations' postings).
   Planner(const VideoDatabase* db, obs::StatsSnapshot snapshot);
 
   /// Picks the cheapest available strategy for the query. Deterministic:

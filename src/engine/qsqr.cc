@@ -24,15 +24,19 @@ using Clock = std::chrono::steady_clock;
 constexpr size_t kMaxDepth = 2000;
 
 // One call pattern: which arguments of `pred` are bound, and to what.
-// Bound values are identified by their term-dictionary ids (patterns intern
-// their values, so ids are always valid and id equality is value equality).
+// Bound values are identified by their term-dictionary ids where they have
+// one (id equality is value equality). Reads never intern, so a value the
+// dictionary has not seen (a goal constant stored nowhere, an oid no fact
+// mentions) keeps kNoTermId and is identified by the value itself.
 struct CallKey {
   std::string pred;
   uint64_t mask = 0;
-  std::vector<uint32_t> ids;  // bound positions, ascending
+  std::vector<uint32_t> ids;        // bound positions, ascending
+  std::vector<Value> unresolved;    // values of the kNoTermId positions
 
   bool operator<(const CallKey& o) const {
-    return std::tie(pred, mask, ids) < std::tie(o.pred, o.mask, o.ids);
+    return std::tie(pred, mask, ids, unresolved) <
+           std::tie(o.pred, o.mask, o.ids, o.unresolved);
   }
 };
 
@@ -52,6 +56,7 @@ class Engine {
   Status Init(const Query& query, const std::vector<Rule>& cone,
               QsqrResult* out);
   Status Run(QsqrResult* out);
+  const EvalStats& stats() const { return stats_; }
 
  private:
   Status Solve(const std::string& pred, const Pattern& pattern, size_t depth);
@@ -59,6 +64,16 @@ class Engine {
                    size_t depth);
   Status SolveSteps(const CompiledRule& rule, size_t step_idx, BindingEnv* env,
                     size_t depth);
+  // The relational step's candidate rows: IDB answers from the memo,
+  // stored rows from the database's postings.
+  Status SolveRelational(const CompiledRule& rule, size_t step_idx,
+                         BindingEnv* env, size_t depth);
+  // The domain an unbound builtin step enumerates: the entity index when a
+  // constraint `X in G.entities` of this or a later step has X bound to an
+  // oid, else the whole class.
+  std::vector<ObjectId> BuiltinDomain(const CompiledRule& rule,
+                                      size_t step_idx,
+                                      const BindingEnv& env) const;
   Status Emit(const CompiledRule& rule, const BindingEnv& env);
   Status CheckConstraint(const CompiledConstraint& constraint,
                          const BindingEnv& env, bool* ok);
@@ -72,8 +87,9 @@ class Engine {
 
   const VideoDatabase& db_;
   const EvalOptions& options_;
-  Interpretation memo_;
+  Interpretation memo_;  // IDB answers only; stored rows are read in place
   std::vector<CompiledRule> rules_;
+  std::vector<bool> head_stored_;  // per rule: its head relation has rows
   std::map<std::string, std::vector<size_t>> rules_by_head_;
   std::set<CallKey> calls_;  // expanded this pass
   std::string goal_pred_;
@@ -103,48 +119,35 @@ Status Engine::Init(const Query& query, const std::vector<Rule>& cone,
   }
 
   // The goal's call pattern: bound where the argument is a constant.
+  // Constants resolve without interning: a miss means no relation stores
+  // the value, and read-only traffic must not grow the dictionary.
   TermDict& dict = TermDict::Global();
   goal_pattern_.values.resize(goal.args.size());
   goal_pattern_.ids.assign(goal.args.size(), kNoTermId);
   for (size_t i = 0; i < goal.args.size(); ++i) {
     if (goal.args[i].kind != Term::Kind::kConstant) continue;
     VQLDB_ASSIGN_OR_RETURN(Value v, ResolveConst(goal.args[i].constant, db_));
-    goal_pattern_.ids[i] = dict.Intern(v).id;
+    goal_pattern_.ids[i] = dict.IdOf(v);
     goal_pattern_.values[i] = std::move(v);
     if (i < 64) goal_pattern_.mask |= uint64_t{1} << i;
   }
   out->adornment = obs::AdornmentString(goal_pattern_.mask, goal.args.size());
 
-  // Load the EDB slice the cone can read: the goal relation plus every
-  // relational, non-computable body literal's relation. (Head predicates
-  // may hold stored facts too — e.g. a derived relation also asserted as
-  // data — so they load as well.) Governed and observed like the bottom-up
-  // engine's interpretations: stored rows charge the budget, and inserted
-  // rows feed the statistics sketches.
+  // Stored relations are probed in place (SolveRelational), so the memo
+  // holds derived rows only. Governed and observed like the bottom-up
+  // engine's interpretations: derived rows charge the budget and feed the
+  // statistics sketches.
   memo_.set_budget(options_.budget);
   memo_.set_observed(true);
-  std::set<std::string> edb_preds = {goal_pred_};
-  for (const Rule& rule : cone) {
-    edb_preds.insert(rule.head.predicate);
-    for (const Atom& atom : rule.body) {
-      if (atom.IsBuiltinClass()) continue;
-      if (options_.concrete_domain != nullptr &&
-          options_.concrete_domain->HasPredicate(
-              atom.predicate, static_cast<int>(atom.args.size()))) {
-        continue;
-      }
-      edb_preds.insert(atom.predicate);
-    }
-  }
-  for (const std::string& pred : edb_preds) {
-    for (const Fact& fact : db_.FactsFor(pred)) memo_.Add(fact);
+  for (const CompiledRule& rule : rules_) {
+    head_stored_.push_back(db_.Relation(rule.head_predicate).rows() > 0);
   }
   return CheckInterrupt();
 }
 
 Status Engine::Run(QsqrResult* out) {
   do {
-    ++passes_;
+    stats_.iterations = ++passes_;
     if (passes_ > options_.max_iterations) {
       return Status::EvaluationError(
           "qsqr evaluation exceeds max_iterations = " +
@@ -155,7 +158,19 @@ Status Engine::Run(QsqrResult* out) {
     VQLDB_RETURN_NOT_OK(CheckInterrupt());
     VQLDB_RETURN_NOT_OK(Solve(goal_pred_, goal_pattern_, 0));
   } while (changed_);
-  stats_.iterations = passes_;
+  // The goal's stored answers join its derived ones in the memo (a goal
+  // constant the dictionary never saw matches no stored row). They are
+  // read results, not new knowledge: they skip the statistics sketches.
+  const StoredRelation& stored = db_.Relation(goal_pred_);
+  if (stored.rows() > 0 && stored.arity() == goal_pattern_.ids.size()) {
+    std::vector<uint32_t> positions;
+    stored.Match(goal_pattern_.mask, goal_pattern_.ids.data(), &positions);
+    memo_.set_observed(false);
+    for (uint32_t pos : positions) {
+      memo_.AddRow(goal_pred_,
+                   Interpretation::RowRef{stored.row(pos), stored.arity()});
+    }
+  }
   out->stats = stats_;
   out->memo = std::move(memo_);
   out->applied = true;
@@ -175,7 +190,9 @@ Status Engine::Solve(const std::string& pred, const Pattern& pattern,
   key.pred = pred;
   key.mask = pattern.mask;
   for (size_t i = 0; i < pattern.ids.size() && i < 64; ++i) {
-    if (pattern.mask >> i & 1) key.ids.push_back(pattern.ids[i]);
+    if (!(pattern.mask >> i & 1)) continue;
+    key.ids.push_back(pattern.ids[i]);
+    if (pattern.ids[i] == kNoTermId) key.unresolved.push_back(pattern.values[i]);
   }
   // Already expanded this pass: its answers-so-far are in the memo; any
   // still missing surface next pass (the expansion in flight sets changed_).
@@ -249,7 +266,7 @@ Status Engine::SolveSteps(const CompiledRule& rule, size_t step_idx,
       }
       return proceed();
     }
-    for (ObjectId id : eval_common::DomainOf(db_, lit.builtin)) {
+    for (ObjectId id : BuiltinDomain(rule, step_idx, *env)) {
       env->Bind(arg.var, Value::Oid(id));
       Status st = proceed();
       env->Unbind(arg.var);
@@ -267,16 +284,86 @@ Status Engine::SolveSteps(const CompiledRule& rule, size_t step_idx,
     return holds ? proceed() : Status::OK();
   }
 
-  // Relational literal. Derive the subgoal's call pattern from the bound
-  // arguments, recurse if it names an IDB predicate (filling the memo), then
-  // probe the memo for matching rows.
-  const size_t arity = lit.args.size();
-  uint64_t mask = 0;
-  for (size_t i = 0; i < arity && i < 64; ++i) {
-    const CompiledTerm& arg = lit.args[i];
-    if (!arg.is_var || env->IsBound(arg.var)) mask |= uint64_t{1} << i;
+  return SolveRelational(rule, step_idx, env, depth);
+}
+
+std::vector<ObjectId> Engine::BuiltinDomain(const CompiledRule& rule,
+                                            size_t step_idx,
+                                            const BindingEnv& env) const {
+  const CompiledStep& step = rule.steps[step_idx];
+  const int g = step.literal.args[0].var;
+  if (step.literal.builtin == BuiltinClass::kInterval) {
+    // Every emission passes the constraints of this and all later steps,
+    // and X keeps its binding through them, so an interval whose entities
+    // lack X can never emit: enumerating IntervalsWithEntity(X) (the
+    // inverted index SetAttribute maintains) only skips doomed candidates.
+    // The constraint itself is still checked where it sits.
+    for (size_t s = step_idx; s < rule.steps.size(); ++s) {
+      for (const CompiledConstraint& c : rule.steps[s].post_constraints) {
+        if (c.kind != ConstraintExpr::Kind::kMembership ||
+            c.rhs.kind != CompiledOperand::Kind::kAccess ||
+            !c.rhs.base_is_var || c.rhs.var != g ||
+            c.rhs.attribute != kAttrEntities) {
+          continue;
+        }
+        const Value* x = nullptr;
+        if (c.lhs.kind == CompiledOperand::Kind::kValue) {
+          x = &c.lhs.value;
+        } else if (c.lhs.kind == CompiledOperand::Kind::kVar &&
+                   env.IsBound(c.lhs.var)) {
+          x = &env.Get(c.lhs.var);
+        }
+        if (x != nullptr && x->is_oid()) {
+          return db_.IntervalsWithEntity(x->oid_value());
+        }
+      }
+    }
   }
-  if (rules_by_head_.count(lit.predicate)) {
+  return eval_common::DomainOf(db_, step.literal.builtin);
+}
+
+Status Engine::SolveRelational(const CompiledRule& rule, size_t step_idx,
+                               BindingEnv* env, size_t depth) {
+  const CompiledStep& step = rule.steps[step_idx];
+  const CompiledLiteral& lit = step.literal;
+  const size_t arity = lit.args.size();
+  TermDict& dict = TermDict::Global();
+
+  // The probe key: the id of every argument bound before this step. A
+  // binding without an id (its value was never interned when bound) is
+  // looked up again — an emission may have interned it since — and one the
+  // dictionary still lacks matches no row anywhere.
+  std::vector<uint32_t> key(arity, kNoTermId);
+  std::vector<bool> bound(arity, false);
+  uint64_t mask = 0;
+  auto resolve = [&]() {
+    bool resolvable = true;
+    for (size_t i = 0; i < arity; ++i) {
+      if (bound[i] && key[i] == kNoTermId) {
+        key[i] = dict.IdOf(env->Get(lit.args[i].var));
+        resolvable &= key[i] != kNoTermId;
+      }
+    }
+    return resolvable;
+  };
+  for (size_t i = 0; i < arity; ++i) {
+    const CompiledTerm& arg = lit.args[i];
+    if (!arg.is_var) {
+      key[i] = arg.value_id;
+    } else if (env->IsBound(arg.var)) {
+      key[i] = env->GetId(arg.var);
+    } else {
+      continue;
+    }
+    bound[i] = true;
+    if (i < 64) mask |= uint64_t{1} << i;
+  }
+  resolve();
+
+  // Derive the subgoal's call pattern and recurse if it names an IDB
+  // predicate, filling the memo before probing it.
+  const bool idb = rules_by_head_.count(lit.predicate) > 0;
+  if (idb) {
     Pattern sub;
     sub.mask = mask;
     sub.values.resize(arity);
@@ -284,61 +371,38 @@ Status Engine::SolveSteps(const CompiledRule& rule, size_t step_idx,
     for (size_t i = 0; i < arity && i < 64; ++i) {
       if (!(mask >> i & 1)) continue;
       const CompiledTerm& arg = lit.args[i];
-      if (arg.is_var) {
-        sub.values[i] = env->Get(arg.var);
-        sub.ids[i] = env->GetId(arg.var);
-      } else {
-        sub.values[i] = arg.value;
-        sub.ids[i] = arg.value_id;
-      }
+      sub.values[i] = arg.is_var ? env->Get(arg.var) : arg.value;
+      sub.ids[i] = key[i];
     }
     VQLDB_RETURN_NOT_OK(Solve(lit.predicate, sub, depth + 1));
   }
+  // The subgoal's emissions may have interned a value that had no id.
+  if (!resolve()) return Status::OK();
 
-  std::vector<Value> probe_key;
-  for (size_t i = 0; i < arity && i < 64; ++i) {
-    if (!(mask >> i & 1)) continue;
-    const CompiledTerm& arg = lit.args[i];
-    probe_key.push_back(arg.is_var ? env->Get(arg.var) : arg.value);
-  }
-  ++stats_.join_probes;
-  ++stats_.hash_join_probes;
-  // Copy the candidate positions: emissions during recursion below may
-  // extend the lazily built index the reference designates. Positions stay
-  // valid (row storage is append-only in insertion order); the RowRef is
-  // re-fetched per iteration because Add may regrow the id columns.
-  std::vector<size_t> candidates =
-      memo_.LookupMulti(lit.predicate, mask, probe_key);
-  if (!candidates.empty()) ++stats_.join_probe_hits;
-  Interpretation::RelationView rel = memo_.Relation(lit.predicate);
-  if (!rel.valid()) return Status::OK();
-  TermDict& dict = TermDict::Global();
-
-  for (size_t pos : candidates) {
-    Interpretation::RowRef row = rel.row(pos);
-    if (row.arity != arity) continue;
-    // Match on raw symbol ids (id equality is value equality); record
-    // bindings made here for backtracking. A binding carrying kNoTermId
-    // matches nothing, correctly: its value is stored in no relation.
+  auto proceed = [&]() -> Status {
+    for (const CompiledConstraint& c : step.post_constraints) {
+      bool ok = false;
+      VQLDB_RETURN_NOT_OK(CheckConstraint(c, *env, &ok));
+      if (!ok) return Status::OK();
+    }
+    return SolveSteps(rule, step_idx + 1, env, depth);
+  };
+  // Matches one candidate row on raw ids, binding the free arguments
+  // (recorded for backtracking), then runs the rest of the body. The row
+  // pointer is not read after proceeding: emissions may regrow the memo.
+  auto try_row = [&](const uint32_t* row) -> Status {
     int bound_here[16];
     size_t num_bound = 0;
     std::vector<int> overflow;
     bool matched = true;
-    for (size_t i = 0; i < arity; ++i) {
+    for (size_t i = 0; i < arity && matched; ++i) {
       const CompiledTerm& arg = lit.args[i];
-      uint32_t rid = row.ids[i];
-      if (!arg.is_var) {
-        if (arg.value_id != rid) {
-          matched = false;
-          break;
-        }
+      if (bound[i]) {
+        matched = key[i] == row[i];
       } else if (env->IsBound(arg.var)) {
-        if (env->GetId(arg.var) != rid) {
-          matched = false;
-          break;
-        }
+        matched = env->GetId(arg.var) == row[i];  // repeated in this literal
       } else {
-        env->Bind(arg.var, dict.Get(rid), rid);
+        env->Bind(arg.var, dict.Get(row[i]), row[i]);
         if (num_bound < 16) {
           bound_here[num_bound++] = arg.var;
         } else {
@@ -349,7 +413,42 @@ Status Engine::SolveSteps(const CompiledRule& rule, size_t step_idx,
     Status st = matched ? proceed() : Status::OK();
     for (size_t i = 0; i < num_bound; ++i) env->Unbind(bound_here[i]);
     for (int v : overflow) env->Unbind(v);
-    VQLDB_RETURN_NOT_OK(st);
+    return st;
+  };
+
+  if (idb) {
+    std::vector<Value> probe_key;
+    for (size_t i = 0; i < arity && i < 64; ++i) {
+      if (mask >> i & 1) probe_key.push_back(dict.Get(key[i]));
+    }
+    ++stats_.join_probes;
+    ++stats_.hash_join_probes;
+    // Copy the candidate positions: emissions during recursion below may
+    // extend the lazily built index the reference designates. Positions
+    // stay valid (row storage is append-only in insertion order); the row
+    // is re-fetched per candidate because Add may regrow the id columns.
+    std::vector<size_t> candidates =
+        memo_.LookupMulti(lit.predicate, mask, probe_key);
+    if (!candidates.empty()) ++stats_.join_probe_hits;
+    Interpretation::RelationView rel = memo_.Relation(lit.predicate);
+    for (size_t pos : candidates) {
+      Interpretation::RowRef row = rel.row(pos);
+      if (row.arity != arity) continue;
+      VQLDB_RETURN_NOT_OK(try_row(row.ids));
+    }
+  }
+
+  // Stored rows, probed through the postings of the most selective bound
+  // column. The database is not mutated during evaluation (constructive
+  // programs decline), so the rows stay put across the recursion.
+  const StoredRelation& stored = db_.Relation(lit.predicate);
+  if (stored.rows() == 0 || stored.arity() != arity) return Status::OK();
+  ++stats_.join_probes;
+  std::vector<uint32_t> positions;
+  stored.Match(mask, key.data(), &positions);
+  if (!positions.empty()) ++stats_.join_probe_hits;
+  for (uint32_t pos : positions) {
+    VQLDB_RETURN_NOT_OK(try_row(stored.row(pos)));
   }
   return Status::OK();
 }
@@ -374,6 +473,12 @@ Status Engine::Emit(const CompiledRule& rule, const BindingEnv& env) {
     }
   }
   ++stats_.rule_firings;
+  // A derived fact the database already stores adds nothing: probes read
+  // the stored copy in place.
+  if (head_stored_[static_cast<size_t>(&rule - rules_.data())] &&
+      db_.HasFact(fact)) {
+    return Status::OK();
+  }
   if (memo_.Add(std::move(fact))) {
     ++stats_.derived_facts;
     changed_ = true;
@@ -466,9 +571,20 @@ Result<QsqrResult> QsqrEvaluator::Run(const Query& query,
     }
   }
 
+  // One evaluation publishes its counters once, like a bottom-up fixpoint:
+  // on completion, or on a deadline, cancel or budget abort.
+  const Clock::time_point start = Clock::now();
   Engine engine(db, options);
-  VQLDB_RETURN_NOT_OK(engine.Init(query, cone, &out));
-  VQLDB_RETURN_NOT_OK(engine.Run(&out));
+  Status st = engine.Init(query, cone, &out);
+  if (st.ok()) st = engine.Run(&out);
+  if (st.ok() || st.IsDeadlineExceeded() || st.IsCancelled() ||
+      st.IsResourceExhausted()) {
+    PublishEvalMetrics(
+        engine.stats(),
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count());
+  }
+  VQLDB_RETURN_NOT_OK(st);
   return out;
 }
 

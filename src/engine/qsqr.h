@@ -7,12 +7,17 @@
 // relations, no rewritten program, no per-round delta bookkeeping.
 //
 // The engine keeps one memo Interpretation of every answer derived so far
-// (seeded with the cone's EDB relations) and a per-pass set of expanded
-// call patterns (predicate, adornment, bound values). Solving a goal
-// expands each defining rule once per pass: the head is unified against
-// the call's bound arguments, the body is walked left-to-right with
-// backtracking, IDB subgoals recurse (then probe the memo), EDB literals
-// probe the memo directly. Because answers derived *after* a memo probe are
+// and a per-pass set of expanded call patterns (predicate, adornment, bound
+// values). Stored relations are never copied: EDB literals probe the
+// database's id rows in place, through the postings of their most
+// selective bound column (VideoDatabase::Relation). Solving a goal expands
+// each defining rule once per pass: the head is unified against the call's
+// bound arguments, the body is walked left-to-right with backtracking, IDB
+// subgoals recurse (then probe the memo), EDB literals probe the store. An
+// unbound Interval(G) step whose rule checks `X in G.entities` with X
+// already bound to an oid enumerates the entity index (the intervals whose
+// entities hold X) instead of every interval; the constraint is still
+// checked where it sits, so this only skips candidates that cannot emit. Because answers derived *after* a memo probe are
 // not re-joined within the pass, the outer loop repeats — clearing the
 // call set, keeping the memo — until a full pass derives nothing new.
 // Answers grow monotonically and are bounded by the finite ground-atom
@@ -57,22 +62,26 @@ struct QsqrResult {
   /// The goal's adornment string ('b' = bound argument, 'f' = free).
   std::string adornment;
 
-  /// Everything derived (plus the cone's EDB relations): the goal's
-  /// answers are the memo's goal-predicate facts. Budget-governed when the
-  /// options carry a budget.
+  /// Everything derived, plus the goal relation's stored rows that match
+  /// the goal: the goal's answers are the memo's goal-predicate facts. No
+  /// other stored row is copied here. Budget-governed when the options
+  /// carry a budget.
   Interpretation memo;
 
-  /// `iterations` counts outer passes; join counters count memo probes.
+  /// `iterations` counts outer passes; join counters count memo and store
+  /// probes (hash_join_probes only the Value-keyed memo probes).
   EvalStats stats;
 };
 
 class QsqrEvaluator {
  public:
-  /// Answers `query` over `rules` top-down. `db` supplies the EDB and
-  /// resolves goal constants; it is never mutated (constructive rules make
-  /// QSQR decline). Honors options.deadline / cancel / budget at the same
-  /// granularity as the bottom-up engine, and options.max_iterations /
-  /// max_facts as caps on outer passes / memo size.
+  /// Answers `query` over `rules` top-down. `db` supplies the EDB, read in
+  /// place, and resolves goal constants, which are never interned; it is
+  /// never mutated (constructive rules make QSQR decline). Honors
+  /// options.deadline / cancel / budget at the same granularity as the
+  /// bottom-up engine, and options.max_iterations / max_facts as caps on
+  /// outer passes / memo size. Publishes its stats to the vqldb_eval_*
+  /// metrics once per evaluation.
   static Result<QsqrResult> Run(const Query& query,
                                 const std::vector<Rule>& rules,
                                 const VideoDatabase& db,

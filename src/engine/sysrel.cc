@@ -69,9 +69,7 @@ std::vector<Fact> BuildSystemFacts(const SystemFactsInput& input) {
   // evaluator's storage layer (and EXPLAIN ANALYZE) reports.
   if (input.db != nullptr) {
     Interpretation edb;
-    for (const std::string& name : input.db->RelationNames()) {
-      for (const Fact& fact : input.db->FactsFor(name)) edb.Add(fact);
-    }
+    edb.AddStoredRelations(*input.db);
     edb.SealSegments();
     for (const Interpretation::RelationStats& rs : edb.PerRelationStats()) {
       if (IsSystemRelation(rs.predicate)) continue;

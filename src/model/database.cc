@@ -1,6 +1,7 @@
 #include "src/model/database.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
@@ -278,51 +279,60 @@ Status VideoDatabase::AssertFact(Fact fact) {
                                      fact.ToString());
     }
   }
-  if (!facts_[fact.relation].empty() &&
-      facts_[fact.relation].front().args.size() != fact.args.size()) {
+  const uint32_t arity = static_cast<uint32_t>(fact.args.size());
+  auto rel = relations_.find(fact.relation);
+  if (rel != relations_.end() && rel->second.arity() != arity) {
     return Status::InvalidArgument(
         "relation " + fact.relation + " used with arity " +
-        std::to_string(fact.args.size()) + " but was previously arity " +
-        std::to_string(facts_[fact.relation].front().args.size()));
+        std::to_string(arity) + " but was previously arity " +
+        std::to_string(rel->second.arity()));
   }
-  if (fact_set_.count(fact)) return Status::OK();  // idempotent
-  // Intern the arguments into the global term dictionary up front so every
-  // downstream consumer (columnar relations, journal replay, snapshot
-  // recovery) finds stored values already encoded.
-  uint32_t ids[16];
-  uint32_t arity = 0;
+  // Intern the arguments into the global term dictionary: the stored row
+  // is their ids, which every evaluator and the planner read in place.
+  std::vector<uint32_t> ids;
+  ids.reserve(arity);
   for (const Value& arg : fact.args) {
-    uint32_t id = TermDict::Global().Intern(arg).id;
-    if (arity < 16) ids[arity] = id;
-    ++arity;
+    ids.push_back(TermDict::Global().Intern(arg).id);
   }
-  if (obs::StatsEnabled() && arity <= 16) {
-    obs::StatsCollector::Global().RecordRow(fact.relation, ids, arity);
+  if (rel == relations_.end()) {
+    rel = relations_.emplace(fact.relation, StoredRelation(arity)).first;
   }
-  fact_set_.insert(fact);
-  facts_[fact.relation].push_back(std::move(fact));
+  if (!rel->second.Insert(ids.data())) return Status::OK();  // idempotent
+  if (obs::StatsEnabled()) {
+    obs::StatsCollector::Global().RecordRow(fact.relation, ids.data(), arity);
+  }
   ++fact_count_;
   ++epoch_;
   return Status::OK();
 }
 
 bool VideoDatabase::HasFact(const Fact& fact) const {
-  return fact_set_.count(fact) > 0;
+  auto rel = relations_.find(fact.relation);
+  if (rel == relations_.end() || rel->second.arity() != fact.args.size()) {
+    return false;
+  }
+  std::vector<uint32_t> ids;
+  ids.reserve(fact.args.size());
+  for (const Value& arg : fact.args) {
+    // A never-interned value cannot appear in any stored row.
+    uint32_t id = TermDict::Global().IdOf(arg);
+    if (id == kNoTermId) return false;
+    ids.push_back(id);
+  }
+  return rel->second.Contains(ids.data());
 }
 
-const std::vector<Fact>& VideoDatabase::FactsFor(
+const StoredRelation& VideoDatabase::Relation(
     const std::string& relation) const {
-  static const std::vector<Fact> kEmpty;
-  auto it = facts_.find(relation);
-  return it == facts_.end() ? kEmpty : it->second;
+  static const StoredRelation kEmpty;
+  auto it = relations_.find(relation);
+  return it == relations_.end() ? kEmpty : it->second;
 }
 
 std::vector<std::string> VideoDatabase::RelationNames() const {
   std::vector<std::string> names;
-  names.reserve(facts_.size());
-  for (const auto& [name, v] : facts_) {
-    if (!v.empty()) names.push_back(name);
-  }
+  names.reserve(relations_.size());
+  for (const auto& [name, rel] : relations_) names.push_back(name);
   return names;
 }
 
@@ -580,7 +590,7 @@ VideoDatabase::Stats VideoDatabase::GetStats() const {
   s.base_interval_count = base_intervals_.size();
   s.derived_interval_count = derived_intervals_.size();
   s.fact_count = fact_count_;
-  s.relation_count = RelationNames().size();
+  s.relation_count = relations_.size();
   return s;
 }
 

@@ -23,13 +23,13 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/result.h"
 #include "src/constraint/generalized_interval.h"
 #include "src/constraint/interval_set.h"
 #include "src/model/object.h"
+#include "src/model/stored_relation.h"
 #include "src/model/value.h"
 
 namespace vqldb {
@@ -119,15 +119,22 @@ class VideoDatabase {
 
   // ------------------------------------------------------------------ facts
 
-  /// R — asserts a ground relation fact. Duplicate assertions are idempotent.
+  /// R — asserts a ground relation fact, interning its arguments into the
+  /// global term dictionary and storing the id row once. Duplicate
+  /// assertions are idempotent.
   Status AssertFact(Fact fact);
   Status AssertFact(const std::string& relation, std::vector<Value> args) {
     return AssertFact(Fact{relation, std::move(args)});
   }
 
   bool HasFact(const Fact& fact) const;
-  /// All facts of one relation, in assertion order; empty for unknown names.
-  const std::vector<Fact>& FactsFor(const std::string& relation) const;
+  /// The id-encoded rows of one relation, in assertion order, with exact
+  /// per-column postings; an empty relation for unknown names.
+  const StoredRelation& Relation(const std::string& relation) const;
+  /// Every stored relation by name (sorted).
+  const std::map<std::string, StoredRelation>& Relations() const {
+    return relations_;
+  }
   std::vector<std::string> RelationNames() const;
   size_t fact_count() const { return fact_count_; }
 
@@ -230,9 +237,8 @@ class VideoDatabase {
   std::map<std::string, ObjectId> symbols_;
   std::unordered_map<ObjectId, std::string> symbol_of_;
 
-  // Facts, per relation, with a dedup set.
-  std::map<std::string, std::vector<Fact>> facts_;
-  std::unordered_set<Fact> fact_set_;
+  // Facts, per relation: id rows, membership and postings (the only copy).
+  std::map<std::string, StoredRelation> relations_;
   size_t fact_count_ = 0;
 
   // Concatenation registry: sorted base-id set -> derived (or base) oid.

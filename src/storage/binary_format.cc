@@ -5,6 +5,8 @@
 #include <map>
 #include <sstream>
 
+#include "src/model/term_dict.h"
+
 namespace vqldb {
 
 namespace {
@@ -322,15 +324,17 @@ Result<std::string> BinaryFormat::Serialize(const VideoDatabase& db) {
     VQLDB_RETURN_NOT_OK(write_object(id));
   }
 
-  std::vector<std::string> relations = db.RelationNames();
-  w.PutVarint(relations.size());
-  for (const std::string& relation : relations) {
-    const std::vector<Fact>& facts = db.FactsFor(relation);
+  TermDict& dict = TermDict::Global();
+  w.PutVarint(db.Relations().size());
+  for (const auto& [relation, rel] : db.Relations()) {
     w.PutString(relation);
-    w.PutVarint(facts.size());
-    for (const Fact& fact : facts) {
-      w.PutVarint(fact.args.size());
-      for (const Value& v : fact.args) WriteValue(&w, v);
+    w.PutVarint(rel.rows());
+    for (size_t pos = 0; pos < rel.rows(); ++pos) {
+      const uint32_t* row = rel.row(pos);
+      w.PutVarint(rel.arity());
+      for (uint32_t c = 0; c < rel.arity(); ++c) {
+        WriteValue(&w, dict.Get(row[c]));
+      }
     }
   }
 

@@ -86,12 +86,13 @@ Result<std::string> TextFormat::Dump(const VideoDatabase& db) {
     VQLDB_RETURN_NOT_OK(dump_object(id, true));
   }
   os << "\n// relation facts (R)\n";
-  for (const std::string& relation : db.RelationNames()) {
-    for (const Fact& fact : db.FactsFor(relation)) {
+  for (const auto& [relation, rel] : db.Relations()) {
+    for (size_t pos = 0; pos < rel.rows(); ++pos) {
+      const std::vector<Value> fact_args = rel.ArgsAt(pos);
       // Facts over derived (concatenation) intervals are regenerable from
       // rules and cannot be declared; keep them as comments.
       bool references_derived = false;
-      for (const Value& v : fact.args) {
+      for (const Value& v : fact_args) {
         if (v.is_oid()) {
           auto kind = db.KindOf(v.oid_value());
           if (kind.ok() && *kind == ObjectKind::kDerivedInterval) {
@@ -100,7 +101,7 @@ Result<std::string> TextFormat::Dump(const VideoDatabase& db) {
         }
       }
       std::vector<std::string> args;
-      for (const Value& v : fact.args) {
+      for (const Value& v : fact_args) {
         VQLDB_ASSIGN_OR_RETURN(std::string s, RenderValue(db, v));
         args.push_back(std::move(s));
       }

@@ -109,7 +109,7 @@ TEST_F(DatabaseTest, FactsAssertAndDedup) {
   ASSERT_TRUE(db_.AssertFact("in", {Value::Oid(o1), Value::Oid(gi)}).ok());
   ASSERT_TRUE(db_.AssertFact("in", {Value::Oid(o1), Value::Oid(gi)}).ok());
   EXPECT_EQ(db_.fact_count(), 1u);
-  EXPECT_EQ(db_.FactsFor("in").size(), 1u);
+  EXPECT_EQ(db_.Relation("in").rows(), 1u);
   EXPECT_TRUE(db_.HasFact(Fact{"in", {Value::Oid(o1), Value::Oid(gi)}}));
 }
 

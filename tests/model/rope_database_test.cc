@@ -136,7 +136,7 @@ TEST_F(RopeDatabaseTest, InRelationHoldsInBothScenes) {
       Fact{"in", {Value::Oid(o1), Value::Oid(o4), Value::Oid(gi1_)}}));
   EXPECT_TRUE(db_.HasFact(
       Fact{"in", {Value::Oid(o1), Value::Oid(o4), Value::Oid(gi2_)}}));
-  EXPECT_EQ(db_.FactsFor("in").size(), 2u);
+  EXPECT_EQ(db_.Relation("in").rows(), 2u);
 }
 
 TEST_F(RopeDatabaseTest, AttributeIndexFindsMurderers) {

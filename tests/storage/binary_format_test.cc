@@ -74,9 +74,9 @@ TEST(BinaryFormatTest, IdRemappingSurvivesDerivedGaps) {
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ(restored->BaseIntervals().size(), 3u);
   EXPECT_EQ(restored->derived_interval_count(), 0u);
-  const Fact& f = restored->FactsFor("follows")[0];
-  EXPECT_EQ(f.args[0].oid_value(), *restored->Resolve("gi3"));
-  EXPECT_EQ(f.args[1].oid_value(), *restored->Resolve("gi1"));
+  const std::vector<Value> f = restored->Relation("follows").ArgsAt(0);
+  EXPECT_EQ(f[0].oid_value(), *restored->Resolve("gi3"));
+  EXPECT_EQ(f[1].oid_value(), *restored->Resolve("gi1"));
 }
 
 TEST(BinaryFormatTest, ChecksumDetectsCorruption) {

@@ -456,13 +456,13 @@ TEST_F(JournalTest, DictionarySurvivesReplay) {
   ASSERT_TRUE(replayed.ok()) << replayed.status();
   EXPECT_EQ(replayed->statements_replayed, 3u);
   EXPECT_NE(TermDict::Global().IdOf(probe), kNoTermId);
-  const auto& facts = db.FactsFor("annotation");
-  ASSERT_EQ(facts.size(), 2u);
-  EXPECT_EQ(facts[0].args[1], probe);
+  const StoredRelation& facts = db.Relation("annotation");
+  ASSERT_EQ(facts.rows(), 2u);
+  EXPECT_EQ(facts.ArgsAt(0)[1], probe);
   // Id equality mirrors value equality for the recovered terms.
-  EXPECT_EQ(TermDict::Global().IdOf(facts[0].args[1]),
+  EXPECT_EQ(TermDict::Global().IdOf(facts.ArgsAt(0)[1]),
             TermDict::Global().IdOf(probe));
-  EXPECT_NE(TermDict::Global().IdOf(facts[1].args[1]),
+  EXPECT_NE(TermDict::Global().IdOf(facts.ArgsAt(1)[1]),
             TermDict::Global().IdOf(probe));
 }
 
@@ -485,16 +485,16 @@ TEST_F(JournalTest, DictionarySurvivesSnapshotRecovery) {
   RecoveryReport report;
   auto recovered = Journal::Recover(snapshot_path_, journal_path_, &report);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
-  const auto& facts = recovered->FactsFor("annotation");
-  ASSERT_EQ(facts.size(), 2u);
-  for (const Fact& f : facts) {
-    for (const Value& arg : f.args) {
+  const StoredRelation& facts = recovered->Relation("annotation");
+  ASSERT_EQ(facts.rows(), 2u);
+  for (size_t pos = 0; pos < facts.rows(); ++pos) {
+    for (const Value& arg : facts.ArgsAt(pos)) {
       EXPECT_NE(TermDict::Global().IdOf(arg), kNoTermId)
           << "recovered argument not interned: " << arg.ToString();
     }
   }
-  EXPECT_EQ(facts[0].args[1], base.args[1]);
-  EXPECT_EQ(facts[1].args[1].string_value(), "snapshot-dict-term-delta");
+  EXPECT_EQ(facts.ArgsAt(0)[1], base.args[1]);
+  EXPECT_EQ(facts.ArgsAt(1)[1].string_value(), "snapshot-dict-term-delta");
 }
 
 }  // namespace

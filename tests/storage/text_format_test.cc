@@ -100,7 +100,7 @@ TEST(TextFormatTest, DerivedIntervalsSkipped) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(restored.BaseIntervals().size(), 2u);
   EXPECT_EQ(restored.derived_interval_count(), 0u);
-  EXPECT_TRUE(restored.FactsFor("derived_rel").empty());
+  EXPECT_EQ(restored.Relation("derived_rel").rows(), 0u);
 }
 
 TEST(TextFormatTest, LoadReturnsRulesAndQueries) {

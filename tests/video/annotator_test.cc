@@ -75,7 +75,7 @@ TEST(AnnotatorTest, AssertRelationResolvesSymbols) {
                                  {"david"})
                   .ok());
   ASSERT_TRUE(annotator.AssertRelation("in", {"david", "chest", "crime"}).ok());
-  EXPECT_EQ(db.FactsFor("in").size(), 1u);
+  EXPECT_EQ(db.Relation("in").rows(), 1u);
   EXPECT_TRUE(
       annotator.AssertRelation("in", {"nobody", "chest", "crime"})
           .IsNotFound());

@@ -53,8 +53,14 @@
 #    "dropped=0" in the ledger line and flush the --metrics-out snapshot.
 #    Then tools/server_chaos runs at smoke scale (the full 10k-connection /
 #    250-iteration run writes BENCH_server.json out-of-band).
+# 6f. End-to-end benchmark self test: `python3 perfbench/run.py --selftest`
+#    builds vqlsrv and the load generator, checks that the answer oracle
+#    flags corrupted answers, then runs every workload briefly against a
+#    live server with every answer checked against the generator's own
+#    truth — the end-to-end guard for the in-place EDB access path.
 # 7. Configure + build with -DVQLDB_SANITIZE=address and run the governance,
-#    dictionary, columnar, shard, and planner/QSQR tests under ASan (the
+#    dictionary, columnar, shard, planner/QSQR, and stored-relation /
+#    in-place EDB access tests under ASan (the
 #    budget hierarchy
 #    moves ownership across queries, caches, and rollbacks; the dictionary
 #    arena and segment seal/merge paths juggle raw pointers; shard recovery
@@ -326,6 +332,9 @@ echo "== server chaos (smoke scale): 300 connections, 40 iterations =="
 ./build/tools/server_chaos --connections=300 --iterations=40 --seed=11 \
     --out="$OBS_TMP/bench_server_smoke.json"
 
+echo "== perfbench self test: oracle + short runs of every workload =="
+python3 perfbench/run.py --selftest
+
 echo "== asan: build (-DVQLDB_SANITIZE=address) =="
 cmake -B build-asan -S . -DVQLDB_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS" \
@@ -333,7 +342,7 @@ cmake --build build-asan -j "$JOBS" \
            term_dict_test columnar_test columnar_accounting_test \
            backoff_test shard_manifest_test shard_store_test \
            qsqr_test planner_test wire_test http_test snapshot_test \
-           server_test
+           server_test stored_relation_test edb_access_test database_test
 
 echo "== asan: budget + gate + governor + dictionary + columnar + shards + planner =="
 ./build-asan/tests/budget_test
@@ -347,6 +356,11 @@ echo "== asan: budget + gate + governor + dictionary + columnar + shards + plann
 ./build-asan/tests/shard_store_test
 ./build-asan/tests/qsqr_test
 ./build-asan/tests/planner_test
+
+echo "== asan: stored relations + in-place EDB access =="
+./build-asan/tests/stored_relation_test
+./build-asan/tests/database_test
+./build-asan/tests/edb_access_test
 
 echo "== asan: server protocol + end-to-end (framing, sessions, drain) =="
 ./build-asan/tests/wire_test

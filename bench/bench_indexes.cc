@@ -1,7 +1,7 @@
-// Ablation: the VideoDatabase secondary indexes — attribute-value hash
-// index, temporal stabbing/overlap index (sorted fragments + prefix-max
-// pruning), inverted entity->intervals index — against their linear-scan
-// baselines, plus goal-directed vs full-materialization query evaluation.
+// Ablation: the VideoDatabase secondary indexes — temporal stabbing/overlap
+// index (sorted fragments + prefix-max pruning), inverted entity->intervals
+// index — against their linear-scan baselines, plus goal-directed vs
+// full-materialization query evaluation.
 
 #include <benchmark/benchmark.h>
 
@@ -160,29 +160,6 @@ void JoinAccessPathSeries() {
   std::fclose(f);
   std::printf("\nwrote BENCH_indexes.json\n\n");
 }
-
-void BM_AttributeIndexLookup(benchmark::State& state) {
-  auto db = BigArchive(16, static_cast<size_t>(state.range(0)));
-  Value probe = Value::String("actor7");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(db->FindByAttribute("name", probe));
-  }
-}
-BENCHMARK(BM_AttributeIndexLookup)->Arg(100)->Arg(800);
-
-void BM_AttributeScanBaseline(benchmark::State& state) {
-  auto db = BigArchive(16, static_cast<size_t>(state.range(0)));
-  Value probe = Value::String("actor7");
-  for (auto _ : state) {
-    std::vector<ObjectId> hits;
-    for (ObjectId id : db->Entities()) {
-      auto v = db->GetAttribute(id, "name");
-      if (v.ok() && *v == probe) hits.push_back(id);
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_AttributeScanBaseline)->Arg(100)->Arg(800);
 
 void BM_TemporalStabbing(benchmark::State& state) {
   auto db = BigArchive(8, static_cast<size_t>(state.range(0)));

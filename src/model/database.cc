@@ -57,8 +57,6 @@ Result<ObjectId> VideoDatabase::CreateInterval(const std::string& symbol,
                                                IntervalSet duration) {
   VQLDB_ASSIGN_OR_RETURN(ObjectId id,
                          NewObject(symbol, ObjectKind::kBaseInterval));
-  base_ids_[id] = {id};
-  concat_ids_[{id}] = id;
   VQLDB_RETURN_NOT_OK(
       SetAttribute(id, kAttrDuration, Value::Temporal(std::move(duration))));
   VQLDB_RETURN_NOT_OK(SetAttribute(id, kAttrEntities, Value::EmptySet()));
@@ -146,23 +144,8 @@ Status VideoDatabase::SetAttributeUnchecked(ObjectId id,
     temporal_dirty_ = true;
   }
 
-  IndexAttribute(id, name, old_v, value);
   ++epoch_;
   return obj.SetAttribute(name, std::move(value));
-}
-
-void VideoDatabase::IndexAttribute(ObjectId id, const std::string& name,
-                                   const Value* old_v, const Value& new_v) {
-  auto& by_value = attr_index_[name];
-  if (old_v != nullptr) {
-    auto it = by_value.find(*old_v);
-    if (it != by_value.end()) {
-      auto& vec = it->second;
-      vec.erase(std::remove(vec.begin(), vec.end(), id), vec.end());
-      if (vec.empty()) by_value.erase(it);
-    }
-  }
-  by_value[new_v].push_back(id);
 }
 
 Result<Value> VideoDatabase::GetAttribute(ObjectId id,
@@ -342,10 +325,11 @@ Result<ObjectId> VideoDatabase::Concatenate(ObjectId a, ObjectId b) {
         "concatenation requires two interval objects, got " + DisplayName(a) +
         " and " + DisplayName(b));
   }
-  std::vector<ObjectId> base = base_ids_.at(a);
-  const std::vector<ObjectId>& base_b = base_ids_.at(b);
+  std::vector<ObjectId> base = *BaseIdsOf(a);
+  std::vector<ObjectId> base_b = *BaseIdsOf(b);
   base.insert(base.end(), base_b.begin(), base_b.end());
   base = Canonical(std::move(base));
+  if (base.size() == 1) return base[0];  // I (+) I == I
 
   auto it = concat_ids_.find(base);
   if (it != concat_ids_.end()) return it->second;
@@ -384,15 +368,6 @@ void VideoDatabase::RollbackDerivedIntervals(size_t keep_count) {
     if (oit != objects_.end()) {
       // Unwind index entries exactly as SetAttributeUnchecked built them.
       for (const auto& [name, value] : oit->second.attributes()) {
-        auto ait = attr_index_.find(name);
-        if (ait != attr_index_.end()) {
-          auto vit = ait->second.find(value);
-          if (vit != ait->second.end()) {
-            auto& vec = vit->second;
-            vec.erase(std::remove(vec.begin(), vec.end(), id), vec.end());
-            if (vec.empty()) ait->second.erase(vit);
-          }
-        }
         if (name == kAttrEntities && value.is_set()) {
           for (const Value& member : value.set_elements()) {
             if (!member.is_oid()) continue;
@@ -423,19 +398,22 @@ void VideoDatabase::RollbackDerivedIntervals(size_t keep_count) {
 
 Result<std::vector<ObjectId>> VideoDatabase::BaseIdsOf(ObjectId id) const {
   auto it = base_ids_.find(id);
-  if (it == base_ids_.end()) {
+  if (it != base_ids_.end()) return it->second;
+  if (!IsInterval(id)) {
     return Status::NotFound(DisplayName(id) + " is not an interval object");
   }
-  return it->second;
+  return std::vector<ObjectId>{id};  // a base interval is its own base set
 }
 
 std::vector<ObjectId> VideoDatabase::FindByAttribute(const std::string& name,
                                                      const Value& value) const {
-  auto it = attr_index_.find(name);
-  if (it == attr_index_.end()) return {};
-  auto vit = it->second.find(value);
-  if (vit == it->second.end()) return {};
-  return vit->second;
+  std::vector<ObjectId> out;
+  for (const auto& [id, obj] : objects_) {
+    const Value* v = obj.FindAttribute(name);
+    if (v != nullptr && *v == value) out.push_back(id);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 void VideoDatabase::RebuildTemporalIndexIfDirty() const {

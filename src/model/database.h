@@ -12,9 +12,9 @@
 //
 // The database also maintains the secondary structures a real video archive
 // needs: a symbol table (gi1, o3, ... as in the paper's examples), an
-// attribute-value index, an inverted entity->intervals index (the
-// generalized-interval retrieval win of Fig. 3), and a temporal stabbing /
-// overlap index over interval durations.
+// inverted entity->intervals index (the generalized-interval retrieval win
+// of Fig. 3), and a temporal stabbing / overlap index over interval
+// durations.
 
 #ifndef VQLDB_MODEL_DATABASE_H_
 #define VQLDB_MODEL_DATABASE_H_
@@ -45,13 +45,17 @@ class VideoDatabase {
  public:
   VideoDatabase() = default;
 
-  // Movable but not copyable (indexes hold internal references by id only,
-  // so a move is safe; copying a whole archive should be explicit via
-  // storage round-trip).
+  // Movable (indexes hold internal references by id only). Copying a whole
+  // archive is O(|db|), so it is never implicit: it is spelled Clone().
   VideoDatabase(VideoDatabase&&) = default;
   VideoDatabase& operator=(VideoDatabase&&) = default;
-  VideoDatabase(const VideoDatabase&) = delete;
   VideoDatabase& operator=(const VideoDatabase&) = delete;
+
+  /// An independent in-memory copy: the same oids, symbols, attributes,
+  /// facts, derived intervals, temporal index and epoch. A later change on
+  /// either side is invisible to the other (attribute values share only
+  /// their immutable payloads, and term ids are process-global).
+  VideoDatabase Clone() const { return VideoDatabase(*this); }
 
   // ---------------------------------------------------------------- objects
 
@@ -173,7 +177,9 @@ class VideoDatabase {
 
   // ---------------------------------------------------------------- indexes
 
-  /// All objects whose attribute `name` equals `value` (hash index).
+  /// All objects whose attribute `name` equals `value`, in ascending oid
+  /// order. A scan over every object: no query path calls it, so no index
+  /// is kept for it.
   std::vector<ObjectId> FindByAttribute(const std::string& name,
                                         const Value& value) const;
 
@@ -218,11 +224,12 @@ class VideoDatabase {
   uint64_t epoch() const { return epoch_; }
 
  private:
+  // Member-wise copy; reachable only through Clone().
+  VideoDatabase(const VideoDatabase&) = default;
+
   Result<ObjectId> NewObject(const std::string& symbol, ObjectKind kind);
   Status SetAttributeUnchecked(ObjectId id, const std::string& name,
                                Value value);
-  void IndexAttribute(ObjectId id, const std::string& name, const Value* old_v,
-                      const Value& new_v);
   void RebuildTemporalIndexIfDirty() const;
 
   uint64_t next_id_ = 1;
@@ -241,13 +248,11 @@ class VideoDatabase {
   std::map<std::string, StoredRelation> relations_;
   size_t fact_count_ = 0;
 
-  // Concatenation registry: sorted base-id set -> derived (or base) oid.
+  // Concatenation registry of derived intervals: sorted base-id set (two or
+  // more base oids) -> derived oid, and back. A base interval is its own
+  // singleton base set and is not registered.
   std::map<std::vector<ObjectId>, ObjectId> concat_ids_;
   std::unordered_map<ObjectId, std::vector<ObjectId>> base_ids_;
-
-  // Attribute-value hash index.
-  std::map<std::string, std::unordered_map<Value, std::vector<ObjectId>>>
-      attr_index_;
 
   // Inverted entities index.
   std::unordered_map<ObjectId, std::vector<ObjectId>> entity_to_intervals_;

@@ -10,9 +10,17 @@ namespace vqldb {
 namespace {
 
 size_t HashRow(const uint32_t* row, uint32_t arity) {
-  size_t seed = arity;
-  for (uint32_t c = 0; c < arity; ++c) HashCombine(&seed, row[c]);
-  return seed;
+  size_t h = arity;
+  for (uint32_t c = 0; c < arity; ++c) HashCombine(&h, row[c]);
+  // Final avalanche (MurmurHash3 fmix64). Over dense ids, hash_combine
+  // leaves the low bits the slot mask keeps correlated, and linear probing
+  // then walks long clusters.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
 }
 
 // Fibonacci hashing: dictionary ids are dense, so spread them over the

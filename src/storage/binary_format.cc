@@ -2,8 +2,8 @@
 
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
+#include <unordered_map>
 
 #include "src/model/term_dict.h"
 
@@ -180,7 +180,7 @@ void WriteValue(Writer* w, const Value& v) {
 
 // Reads a value, remapping oids through `idmap`.
 Result<Value> ReadValue(Reader* r,
-                        const std::map<uint64_t, ObjectId>& idmap) {
+                        const std::unordered_map<uint64_t, ObjectId>& idmap) {
   VQLDB_ASSIGN_OR_RETURN(uint64_t tag, r->Varint());
   switch (static_cast<ValueTag>(tag)) {
     case ValueTag::kBool: {
@@ -366,7 +366,7 @@ Result<VideoDatabase> BinaryFormat::Deserialize(std::string_view bytes) {
   }
 
   VideoDatabase db;
-  std::map<uint64_t, ObjectId> idmap;
+  std::unordered_map<uint64_t, ObjectId> idmap;
 
   // Attribute values may reference objects declared later (oids are global),
   // so the load is two-phase: phase A creates every object and records each

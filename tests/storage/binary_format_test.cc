@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/logging.h"
-
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <string>
+
+#include "src/common/logging.h"
 
 namespace vqldb {
 namespace {
@@ -135,6 +138,54 @@ TEST(BinaryFormatTest, Crc32KnownVector) {
   // Standard test vector: CRC-32("123456789") = 0xCBF43926.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
+}
+
+// The image of an archive shaped like the benchmark's: `scenes` intervals
+// over scenes / 4 actors, two actors and one speaks fact per scene.
+std::string SceneArchiveImage(size_t scenes) {
+  VideoDatabase db;
+  std::vector<ObjectId> actors;
+  for (size_t a = 0; a < std::max<size_t>(scenes / 4, 2); ++a) {
+    actors.push_back(*db.CreateEntity("o" + std::to_string(a)));
+  }
+  for (size_t s = 0; s < scenes; ++s) {
+    double t = static_cast<double>(s) * 10;
+    ObjectId gi = *db.CreateInterval(
+        "gi" + std::to_string(s), IntervalSet({TimeInterval::Closed(t, t + 8)}));
+    ObjectId a1 = actors[s % actors.size()];
+    ObjectId a2 = actors[(s * 7 + 1) % actors.size()];
+    VQLDB_CHECK_OK(db.SetAttribute(
+        gi, kAttrEntities, Value::Set({Value::Oid(a1), Value::Oid(a2)})));
+    VQLDB_CHECK_OK(db.AssertFact("speaks", {Value::Oid(a1), Value::Oid(gi)}));
+  }
+  return *BinaryFormat::Serialize(db);
+}
+
+double BestDeserializeSeconds(const std::string& bytes, int reps) {
+  double best = 1e30;
+  for (int i = 0; i < reps; ++i) {
+    auto start = std::chrono::steady_clock::now();
+    auto restored = BinaryFormat::Deserialize(bytes);
+    std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_TRUE(restored.ok()) << restored.status();
+    best = std::min(best, took.count());
+  }
+  return best;
+}
+
+TEST(BinaryFormatTest, DeserializeScalesLinearlyInIntervals) {
+  // Ten times the intervals may cost at most twenty times the time: a
+  // linear decoder stays near 10x, a per-interval scan of a shared
+  // attribute bucket goes toward 100x.
+  const std::string small = SceneArchiveImage(1000);
+  const std::string large = SceneArchiveImage(10000);
+  double small_s = BestDeserializeSeconds(small, 9);
+  double large_s = BestDeserializeSeconds(large, 5);
+  RecordProperty("ratio", std::to_string(large_s / small_s));
+  EXPECT_LE(large_s / small_s, 20.0)
+      << "1k intervals: " << small_s * 1e3 << " ms, 10k intervals: "
+      << large_s * 1e3 << " ms";
 }
 
 }  // namespace

@@ -14,7 +14,11 @@ namespace {
 class IoEnvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/io_env_test";
+    // One directory per test: ctest runs each test as its own process, in
+    // parallel, and a shared directory would let them delete each other's
+    // files.
+    dir_ = ::testing::TempDir() + "/io_env_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

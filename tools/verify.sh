@@ -59,19 +59,19 @@
 #    live server with every answer checked against the generator's own
 #    truth — the end-to-end guard for the in-place EDB access path.
 # 7. Configure + build with -DVQLDB_SANITIZE=address and run the governance,
-#    dictionary, columnar, shard, planner/QSQR, and stored-relation /
-#    in-place EDB access tests under ASan (the
-#    budget hierarchy
-#    moves ownership across queries, caches, and rollbacks; the dictionary
-#    arena and segment seal/merge paths juggle raw pointers; shard recovery
-#    tears down and rebuilds per-shard databases — exactly where lifetime
-#    bugs would live).
+#    dictionary, columnar, shard, planner/QSQR, stored-relation /
+#    in-place EDB access and database clone tests under ASan (the budget
+#    hierarchy moves ownership across queries, caches, and rollbacks; the
+#    dictionary arena and segment seal/merge paths juggle raw pointers;
+#    shard recovery tears down and rebuilds per-shard databases — exactly
+#    where lifetime bugs would live).
 # 8. Configure + build with -DVQLDB_SANITIZE=thread and run the fixpoint
 #    determinism test, the thread-pool tests, the admission-gate stress
 #    test, the dictionary/columnar tests (lock-free Get, concurrent
 #    interning, parallel seal digests), the shard-store test (parallel
 #    per-shard recovery, scatter-gather over live shards), and the
-#    strategy-equivalence property suite's parallel mode under TSan.
+#    strategy-equivalence property suite's parallel mode, and the server's
+#    snapshot sessions (snapshot_test, snapshot_isolation_test) under TSan.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -342,7 +342,8 @@ cmake --build build-asan -j "$JOBS" \
            term_dict_test columnar_test columnar_accounting_test \
            backoff_test shard_manifest_test shard_store_test \
            qsqr_test planner_test wire_test http_test snapshot_test \
-           server_test stored_relation_test edb_access_test database_test
+           server_test stored_relation_test edb_access_test database_test \
+           clone_test
 
 echo "== asan: budget + gate + governor + dictionary + columnar + shards + planner =="
 ./build-asan/tests/budget_test
@@ -362,6 +363,9 @@ echo "== asan: stored relations + in-place EDB access =="
 ./build-asan/tests/database_test
 ./build-asan/tests/edb_access_test
 
+echo "== asan: database clones (the snapshot sessions' copies) =="
+./build-asan/tests/clone_test
+
 echo "== asan: server protocol + end-to-end (framing, sessions, drain) =="
 ./build-asan/tests/wire_test
 ./build-asan/tests/http_test
@@ -373,7 +377,8 @@ cmake -B build-tsan -S . -DVQLDB_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
   --target parallel_determinism_test thread_pool_test gate_stress_test \
            term_dict_test columnar_test stats_test shard_store_test \
-           strategy_property_test server_test snapshot_isolation_test
+           strategy_property_test server_test snapshot_isolation_test \
+           snapshot_test
 
 echo "== tsan: parallel determinism + thread pool + gate stress + columnar + shards + strategies =="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_determinism_test
@@ -386,8 +391,9 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/shard_store_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/strategy_property_test \
     --gtest_filter='*Parallel*'
 
-echo "== tsan: server connection handling + snapshot isolation =="
+echo "== tsan: server connection handling + snapshot sessions + isolation =="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/server_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/snapshot_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/snapshot_isolation_test
 
 echo "verify: OK"

@@ -185,7 +185,6 @@ ColumnarSample RunJoinWorkload(VideoDatabase* db, bool merge_join,
   options.num_threads = 1;  // isolate join strategy from scheduling noise
   options.merge_join = merge_join;
   QuerySession session(db, options);
-  session.set_magic_enabled(false);  // materialize the full join workload
   session.set_cache_enabled(false);
   VQLDB_CHECK_OK(session.Load(kJoinProgram));
   auto begin = std::chrono::steady_clock::now();

@@ -120,6 +120,17 @@ const char* EvalStrategyName(EvalStrategy strategy) {
   return "auto";
 }
 
+bool ParseEvalStrategy(std::string_view name, EvalStrategy* strategy) {
+  for (EvalStrategy s : {EvalStrategy::kAuto, EvalStrategy::kQsqr,
+                         EvalStrategy::kMagic, EvalStrategy::kFixpoint}) {
+    if (name == EvalStrategyName(s)) {
+      *strategy = s;
+      return true;
+    }
+  }
+  return false;
+}
+
 std::string EvalProfile::ToString() const {
   std::ostringstream os;
   os << std::fixed << std::setprecision(3);

@@ -31,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/budget.h"
@@ -52,12 +53,15 @@ class ThreadPool;
 /// query-cache key.
 enum class EvalStrategy {
   kAuto,      // planner picks per query from cardinality estimates
-  kQsqr,      // top-down memoized backward chaining (falls back when declined)
+  kQsqr,      // top-down memoized backward chaining
   kMagic,     // magic-set rewrite + semi-naive fixpoint
   kFixpoint,  // full bottom-up fixpoint, no goal direction
 };
 
 const char* EvalStrategyName(EvalStrategy strategy);
+/// The inverse of EvalStrategyName ("auto" | "qsqr" | "magic" |
+/// "fixpoint"): false, leaving `*strategy` alone, on any other name.
+bool ParseEvalStrategy(std::string_view name, EvalStrategy* strategy);
 
 struct EvalOptions {
   /// Optional concrete domain (Def. 1): body literals whose predicate is

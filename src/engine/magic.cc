@@ -7,26 +7,16 @@
 
 #include "src/constraint/concrete_domain.h"
 #include "src/engine/binding.h"
+#include "src/obs/stats.h"
 
 namespace vqldb {
 namespace {
-
-// Adornment string for (mask, arity): 'b' at bound positions. Positions
-// >= 64 cannot be expressed in the bitmap and print as free.
-std::string AdornString(uint64_t mask, size_t arity) {
-  std::string s;
-  s.reserve(arity);
-  for (size_t i = 0; i < arity; ++i) {
-    s.push_back((i < 64 && (mask >> i & 1)) ? 'b' : 'f');
-  }
-  return s;
-}
 
 // Demand predicate name. '#' is unparseable in predicate names, so these
 // can never collide with user predicates.
 std::string MagicPredicate(const std::string& pred, uint64_t mask,
                            size_t arity) {
-  return "m#" + pred + "#" + AdornString(mask, arity);
+  return "m#" + pred + "#" + obs::AdornmentString(mask, arity);
 }
 
 }  // namespace
@@ -55,24 +45,16 @@ std::vector<Rule> DependencyCone(const std::string& predicate,
   return relevant;
 }
 
-Result<MagicRewrite> MagicSetRewriter::Rewrite(const Query& query,
-                                               const std::vector<Rule>& rules,
-                                               const VideoDatabase& db,
-                                               const EvalOptions& options) {
-  MagicRewrite out;
-  const Atom& goal = query.goal;
-
+std::string GoalDirectedEligibility(const Atom& goal,
+                                    const std::vector<Rule>& cone,
+                                    const std::vector<Rule>& rules,
+                                    const EvalOptions& options) {
   if (goal.IsBuiltinClass()) {
-    out.reason = "builtin class goals enumerate the object domain";
-    return out;
+    return "builtin class goals enumerate the object domain";
   }
   if (options.extended_active_domain) {
-    out.reason = "extended active domain requires the full fixpoint";
-    return out;
+    return "extended active domain requires the full fixpoint";
   }
-
-  std::vector<Rule> cone = DependencyCone(goal.predicate, rules);
-
   // Constructive (++) rules materialize derived intervals as a side effect
   // of the fixpoint; guarding them would materialize fewer intervals, and
   // builtin class literals (Interval / Anyobject) enumerate exactly that
@@ -80,8 +62,7 @@ Result<MagicRewrite> MagicSetRewriter::Rewrite(const Query& query,
   // observes.
   for (const Rule& rule : cone) {
     if (rule.IsConstructive()) {
-      out.reason = "constructive rule in the goal's dependency cone";
-      return out;
+      return "constructive rule in the goal's dependency cone";
     }
   }
   bool any_constructive = false;
@@ -90,14 +71,21 @@ Result<MagicRewrite> MagicSetRewriter::Rewrite(const Query& query,
     for (const Rule& rule : cone) {
       for (const Atom& atom : rule.body) {
         if (atom.IsBuiltinClass()) {
-          out.reason =
-              "builtin class literal depends on constructively materialized "
-              "intervals";
-          return out;
+          return "builtin class literal depends on constructively "
+                 "materialized intervals";
         }
       }
     }
   }
+  return "";
+}
+
+Result<MagicRewrite> MagicSetRewriter::Rewrite(const Query& query,
+                                               const std::vector<Rule>& cone,
+                                               const VideoDatabase& db,
+                                               const EvalOptions& options) {
+  MagicRewrite out;
+  const Atom& goal = query.goal;
 
   // IDB = predicates with at least one defining rule in the cone; literals
   // over anything else match stored facts only and need no demand.
@@ -113,11 +101,10 @@ Result<MagicRewrite> MagicSetRewriter::Rewrite(const Query& query,
     }
     if (goal.args[i].kind == Term::Kind::kConstant) goal_mask |= 1ULL << i;
   }
-  out.adornment = AdornString(goal_mask, goal.args.size());
+  out.adornment = obs::AdornmentString(goal_mask, goal.args.size());
 
   if (!idb.count(goal.predicate)) {
     // Pure EDB goal: stored facts answer it; nothing to rewrite or run.
-    out.applied = true;
     return out;
   }
 
@@ -238,7 +225,6 @@ Result<MagicRewrite> MagicSetRewriter::Rewrite(const Query& query,
     }
   }
 
-  out.applied = true;
   return out;
 }
 

@@ -26,11 +26,13 @@
 //   * The '#' character cannot appear in a parsed predicate name, so magic
 //     predicates can never collide with user predicates.
 //
-// The rewrite declines (MagicRewrite::applied == false, with a reason) when
-// goal-directed pruning could change answers: constructive (++) rules in the
-// goal's cone, builtin class literals whose object domain constructive rules
-// elsewhere could extend, the extended active domain, and builtin-class
-// goals. Callers fall back to full materialization, preserving equivalence.
+// Goal direction is only sound when pruning cannot change what the goal
+// observes. GoalDirectedEligibility() names the cases where it could
+// (constructive (++) rules in the goal's cone, builtin class literals
+// whose object domain constructive rules elsewhere could extend, the
+// extended active domain, builtin-class goals); both goal-directed engines
+// (this rewrite and QSQR, src/engine/qsqr.h) require an eligible goal, and
+// QuerySession plans ineligible goals onto the full fixpoint.
 
 #ifndef VQLDB_ENGINE_MAGIC_H_
 #define VQLDB_ENGINE_MAGIC_H_
@@ -51,13 +53,17 @@ namespace vqldb {
 std::vector<Rule> DependencyCone(const std::string& predicate,
                                  const std::vector<Rule>& rules);
 
+/// Why goal-directed evaluation (QSQR or the magic rewrite) of `goal` could
+/// change its answers, or an empty string when it cannot. `cone` is the
+/// goal's DependencyCone within `rules`. The one statement of the decline
+/// rules: every planner and engine consults it instead of re-deriving them.
+std::string GoalDirectedEligibility(const Atom& goal,
+                                    const std::vector<Rule>& cone,
+                                    const std::vector<Rule>& rules,
+                                    const EvalOptions& options);
+
 /// Result of the demand transformation.
 struct MagicRewrite {
-  /// False when the rewrite declined (see `reason`); the caller must fall
-  /// back to evaluating the unrewritten program.
-  bool applied = false;
-  std::string reason;
-
   /// The goal's adornment string ('b' = bound argument, 'f' = free), e.g.
   /// "bf" for ?- path(a, Y).
   std::string adornment;
@@ -73,13 +79,14 @@ struct MagicRewrite {
 
 class MagicSetRewriter {
  public:
-  /// Rewrites `rules` for goal-directed evaluation of `query`. `db` resolves
-  /// the goal's constant symbols into seed values; `options` supplies the
-  /// concrete domain (whose predicates are checks, not demands) and the
-  /// extended-active-domain flag. Errors only on unresolvable goal
-  /// constants — the same error the un-rewritten query would report.
+  /// Rewrites the goal's dependency `cone` for goal-directed evaluation of
+  /// `query`, which must be eligible (GoalDirectedEligibility() empty).
+  /// `db` resolves the goal's constant symbols into seed values; `options`
+  /// supplies the concrete domain (whose predicates are checks, not
+  /// demands). Errors only on unresolvable goal constants — the same error
+  /// the un-rewritten query would report.
   static Result<MagicRewrite> Rewrite(const Query& query,
-                                      const std::vector<Rule>& rules,
+                                      const std::vector<Rule>& cone,
                                       const VideoDatabase& db,
                                       const EvalOptions& options);
 };

@@ -9,9 +9,7 @@
 #include "src/constraint/concrete_domain.h"
 #include "src/engine/binding.h"
 #include "src/engine/eval_common.h"
-#include "src/engine/magic.h"
 #include "src/model/term_dict.h"
-#include "src/obs/stats.h"
 
 namespace vqldb {
 namespace {
@@ -53,8 +51,7 @@ class Engine {
   Engine(const VideoDatabase& db, const EvalOptions& options)
       : db_(db), options_(options) {}
 
-  Status Init(const Query& query, const std::vector<Rule>& cone,
-              QsqrResult* out);
+  Status Init(const Query& query, const std::vector<Rule>& cone);
   Status Run(QsqrResult* out);
   const EvalStats& stats() const { return stats_; }
 
@@ -100,8 +97,7 @@ class Engine {
   EvalStats stats_;
 };
 
-Status Engine::Init(const Query& query, const std::vector<Rule>& cone,
-                    QsqrResult* out) {
+Status Engine::Init(const Query& query, const std::vector<Rule>& cone) {
   const Atom& goal = query.goal;
   goal_pred_ = goal.predicate;
 
@@ -131,7 +127,6 @@ Status Engine::Init(const Query& query, const std::vector<Rule>& cone,
     goal_pattern_.values[i] = std::move(v);
     if (i < 64) goal_pattern_.mask |= uint64_t{1} << i;
   }
-  out->adornment = obs::AdornmentString(goal_pattern_.mask, goal.args.size());
 
   // Stored relations are probed in place (SolveRelational), so the memo
   // holds derived rows only. Governed and observed like the bottom-up
@@ -173,7 +168,6 @@ Status Engine::Run(QsqrResult* out) {
   }
   out->stats = stats_;
   out->memo = std::move(memo_);
-  out->applied = true;
   return Status::OK();
 }
 
@@ -527,21 +521,12 @@ Status Engine::CheckInterrupt() const {
 }  // namespace
 
 Result<QsqrResult> QsqrEvaluator::Run(const Query& query,
-                                      const std::vector<Rule>& rules,
+                                      const std::vector<Rule>& cone,
                                       const VideoDatabase& db,
                                       const EvalOptions& options) {
   QsqrResult out;
   const Atom& goal = query.goal;
 
-  // Declines mirror the magic rewrite's, for the same soundness reasons.
-  if (goal.IsBuiltinClass()) {
-    out.reason = "builtin class goals enumerate the object domain";
-    return out;
-  }
-  if (options.extended_active_domain) {
-    out.reason = "extended active domain requires the full fixpoint";
-    return out;
-  }
   for (size_t i = 0; i < goal.args.size(); ++i) {
     if (goal.args[i].kind == Term::Kind::kConcat) {
       return Status::InvalidArgument(
@@ -549,33 +534,11 @@ Result<QsqrResult> QsqrEvaluator::Run(const Query& query,
     }
   }
 
-  std::vector<Rule> cone = DependencyCone(goal.predicate, rules);
-  for (const Rule& rule : cone) {
-    if (rule.IsConstructive()) {
-      out.reason = "constructive rule in the goal's dependency cone";
-      return out;
-    }
-  }
-  bool any_constructive = false;
-  for (const Rule& rule : rules) any_constructive |= rule.IsConstructive();
-  if (any_constructive) {
-    for (const Rule& rule : cone) {
-      for (const Atom& atom : rule.body) {
-        if (atom.IsBuiltinClass()) {
-          out.reason =
-              "builtin class literal depends on constructively materialized "
-              "intervals";
-          return out;
-        }
-      }
-    }
-  }
-
   // One evaluation publishes its counters once, like a bottom-up fixpoint:
   // on completion, or on a deadline, cancel or budget abort.
   const Clock::time_point start = Clock::now();
   Engine engine(db, options);
-  Status st = engine.Init(query, cone, &out);
+  Status st = engine.Init(query, cone);
   if (st.ok()) st = engine.Run(&out);
   if (st.ok() || st.IsDeadlineExceeded() || st.IsCancelled() ||
       st.IsResourceExhausted()) {

@@ -32,11 +32,10 @@
 // concrete-domain literals and builtin-class domains identical by
 // construction.
 //
-// QSQR declines (applied == false) in exactly the situations the magic
-// rewrite declines — builtin-class goals, the extended active domain,
-// constructive rules in (or observable from) the goal's cone — because all
-// three make goal-directed pruning unsound for the same reasons. Callers
-// fall back to a bottom-up strategy, preserving equivalence.
+// QSQR runs only on goals GoalDirectedEligibility() (src/engine/magic.h)
+// accepts — the same condition as the magic rewrite, because builtin-class
+// goals, the extended active domain and constructive rules in (or
+// observable from) the goal's cone make any goal-directed pruning unsound.
 
 #ifndef VQLDB_ENGINE_QSQR_H_
 #define VQLDB_ENGINE_QSQR_H_
@@ -54,14 +53,6 @@ namespace vqldb {
 
 /// Result of one QSQR evaluation.
 struct QsqrResult {
-  /// False when QSQR declined (see `reason`); the caller must fall back to
-  /// a bottom-up strategy.
-  bool applied = false;
-  std::string reason;
-
-  /// The goal's adornment string ('b' = bound argument, 'f' = free).
-  std::string adornment;
-
   /// Everything derived, plus the goal relation's stored rows that match
   /// the goal: the goal's answers are the memo's goal-predicate facts. No
   /// other stored row is copied here. Budget-governed when the options
@@ -75,15 +66,17 @@ struct QsqrResult {
 
 class QsqrEvaluator {
  public:
-  /// Answers `query` over `rules` top-down. `db` supplies the EDB, read in
-  /// place, and resolves goal constants, which are never interned; it is
-  /// never mutated (constructive rules make QSQR decline). Honors
+  /// Answers `query` top-down over its dependency `cone` (DependencyCone);
+  /// the goal must be eligible (GoalDirectedEligibility() empty). `db`
+  /// supplies the EDB, read in place, and resolves goal constants, which
+  /// are never interned; it is never mutated (an eligible cone has no
+  /// constructive rule). Honors
   /// options.deadline / cancel / budget at the same granularity as the
   /// bottom-up engine, and options.max_iterations / max_facts as caps on
   /// outer passes / memo size. Publishes its stats to the vqldb_eval_*
   /// metrics once per evaluation.
   static Result<QsqrResult> Run(const Query& query,
-                                const std::vector<Rule>& rules,
+                                const std::vector<Rule>& cone,
                                 const VideoDatabase& db,
                                 const EvalOptions& options);
 };

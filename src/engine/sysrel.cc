@@ -4,7 +4,6 @@
 #include <map>
 
 #include "src/engine/interpretation.h"
-#include "src/engine/magic.h"
 
 namespace vqldb {
 
@@ -21,9 +20,9 @@ bool BodyTouchesSystem(const Rule& rule) {
 }
 }  // namespace
 
-bool TouchesSystemRelations(const Atom& goal, const std::vector<Rule>& rules) {
+bool TouchesSystemRelations(const Atom& goal, const std::vector<Rule>& cone) {
   if (IsSystemRelation(goal.predicate)) return true;
-  for (const Rule& rule : DependencyCone(goal.predicate, rules)) {
+  for (const Rule& rule : cone) {
     if (BodyTouchesSystem(rule)) return true;
   }
   return false;

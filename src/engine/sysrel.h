@@ -52,11 +52,11 @@ namespace vqldb {
 bool IsSystemRelation(const std::string& name);
 
 /// True iff evaluating `goal` can observe a system relation: the goal
-/// predicate itself is sys_*, or some rule in the goal's dependency cone
-/// references one in its body. Such queries are answered from a fresh
+/// predicate itself is sys_*, or some rule in `cone`, the goal's dependency
+/// cone (DependencyCone), references one in its body. Such queries are answered from a fresh
 /// system-fact batch and bypass the query / fixpoint caches (system state
 /// changes without bumping the database epoch).
-bool TouchesSystemRelations(const Atom& goal, const std::vector<Rule>& rules);
+bool TouchesSystemRelations(const Atom& goal, const std::vector<Rule>& cone);
 
 /// Normalized query fingerprint: constants collapse to `?`, variables are
 /// renumbered `$0, $1, ...` in order of first occurrence (so α-equivalent

@@ -324,32 +324,13 @@ std::string Repl::Meta(const std::string& command,
     timeout_ms_ = ms;
     return "query timeout: " + std::to_string(ms) + " ms\n";
   }
-  if (command == ".magic") {
-    if (argument.empty()) {
-      return std::string("magic sets: ") +
-             (session_.magic_enabled() ? "on" : "off") + "\n";
-    }
-    if (argument == "on" || argument == "off") {
-      session_.set_magic_enabled(argument == "on");
-      return "magic sets: " + argument + "\n";
-    }
-    return "usage: .magic [on|off]\n";
-  }
   if (command == ".strategy") {
     if (argument.empty()) {
       return std::string("strategy: ") +
              EvalStrategyName(session_.options().strategy) + "\n";
     }
     EvalStrategy strategy;
-    if (argument == "auto") {
-      strategy = EvalStrategy::kAuto;
-    } else if (argument == "qsqr") {
-      strategy = EvalStrategy::kQsqr;
-    } else if (argument == "magic") {
-      strategy = EvalStrategy::kMagic;
-    } else if (argument == "fixpoint") {
-      strategy = EvalStrategy::kFixpoint;
-    } else {
+    if (!ParseEvalStrategy(argument, &strategy)) {
       return "usage: .strategy [auto|qsqr|magic|fixpoint]\n";
     }
     // Answers are strategy-independent, so cached entries stay valid.
@@ -638,9 +619,9 @@ std::string Repl::Help() const {
       "  .explain <rule>   show the execution plan of a rule\n"
       "  .threads <N|auto> fixpoint worker threads (1 = serial engine)\n"
       "  .timeout <ms|off> per-query wall-clock budget (DeadlineExceeded)\n"
-      "  .magic [on|off]   goal-directed magic-set rewriting (default on)\n"
       "  .strategy [auto|qsqr|magic|fixpoint]\n"
-      "                    execution strategy (auto = cost-based planner)\n"
+      "                    execution strategy (auto = cost-based planner;\n"
+      "                    fixpoint = no goal direction)\n"
       "  .reorder [on|off] stats-driven body-literal reordering (default off)\n"
       "  .mergejoin [on|off]\n"
       "                    sorted-segment merge joins (default on; off = hash)\n"

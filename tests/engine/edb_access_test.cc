@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/engine/magic.h"
 #include "src/engine/qsqr.h"
 #include "src/engine/query.h"
 #include "src/lang/parser.h"
@@ -68,7 +69,7 @@ class EdbAccessTest : public ::testing::Test {
   QueryResult QsqrMatchesFixpoint(const std::string& goal) {
     auto qsqr = Run(goal, EvalStrategy::kQsqr);
     EXPECT_TRUE(qsqr.ok()) << goal << ": " << qsqr.status();
-    EXPECT_TRUE(session_->last_exec_info().used_qsqr) << goal;
+    EXPECT_EQ(session_->last_exec_info().strategy, "qsqr") << goal;
     auto full = Run(goal, EvalStrategy::kFixpoint);
     EXPECT_TRUE(full.ok()) << goal << ": " << full.status();
     if (!qsqr.ok() || !full.ok()) return {};
@@ -88,7 +89,7 @@ TEST_F(EdbAccessTest, BoundMembershipWorkIsIndependentOfArchiveSize) {
     Open(Archive(num_intervals));
     auto result = Run(goal, EvalStrategy::kQsqr);
     EXPECT_TRUE(result.ok()) << result.status();
-    EXPECT_TRUE(session_->last_exec_info().used_qsqr);
+    EXPECT_EQ(session_->last_exec_info().strategy, "qsqr");
     const EvalStats& stats = session_->last_stats();
     return Work{result.ok() ? result->rows.size() : 0,
                 stats.constraint_checks, stats.join_probes};
@@ -168,10 +169,14 @@ TEST_F(EdbAccessTest, MemoHoldsNoStoredRows) {
   auto run = [&](const std::string& text) {
     auto query = Parser::ParseQuery(text);
     EXPECT_TRUE(query.ok()) << query.status();
-    auto result = QsqrEvaluator::Run(*query, session_->rules(), *db_,
-                                     session_->options());
+    const std::vector<Rule>& rules = session_->rules();
+    std::vector<Rule> cone = DependencyCone(query->goal.predicate, rules);
+    EXPECT_EQ(GoalDirectedEligibility(query->goal, cone, rules,
+                                      session_->options()),
+              "");
+    auto result =
+        QsqrEvaluator::Run(*query, cone, *db_, session_->options());
     EXPECT_TRUE(result.ok()) << result.status();
-    EXPECT_TRUE(result->applied);
     return *std::move(result);
   };
   // A derived goal: only its own derived rows, never the next/2 rows it
@@ -232,7 +237,7 @@ TEST_F(EdbAccessTest, QsqrPublishesItsStatsToMetrics) {
     for (const char* name : kNames) before.push_back(counter(name));
     auto result = Run(goal, EvalStrategy::kQsqr);
     ASSERT_TRUE(result.ok()) << result.status();
-    ASSERT_TRUE(session_->last_exec_info().used_qsqr);
+    ASSERT_EQ(session_->last_exec_info().strategy, "qsqr");
     const EvalStats& s = session_->last_stats();
     const uint64_t expected[] = {1,
                                  s.iterations,

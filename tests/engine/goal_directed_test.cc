@@ -1,8 +1,10 @@
-// Goal-directed evaluation: QuerySession::QueryGoalDirected evaluates only
-// the goal's dependency cone — same answers, fewer rules fired.
+// Goal-directed evaluation: the magic strategy evaluates only the goal's
+// dependency cone (a free goal's rewrite degenerates to exactly that cone)
+// — same answers as the forced full fixpoint, fewer rules fired.
 
 #include <gtest/gtest.h>
 
+#include "src/engine/magic.h"
 #include "src/engine/query.h"
 
 namespace vqldb {
@@ -32,6 +34,17 @@ class GoalDirectedTest : public ::testing::Test {
       sym(X, Y) <- reach(Y, X).
     )")
                     .ok());
+    session_->set_cache_enabled(false);
+  }
+
+  Result<QueryResult> Directed(const char* query_text) {
+    session_->mutable_options()->strategy = EvalStrategy::kMagic;
+    return session_->Query(query_text);
+  }
+
+  Result<QueryResult> Full(const char* query_text) {
+    session_->mutable_options()->strategy = EvalStrategy::kFixpoint;
+    return session_->Query(query_text);
   }
 
   VideoDatabase db_;
@@ -39,55 +52,51 @@ class GoalDirectedTest : public ::testing::Test {
 };
 
 TEST_F(GoalDirectedTest, SameAnswersAsFullMaterialization) {
-  auto full = session_->Query("?- reach(X, Y).");
+  auto full = Full("?- reach(X, Y).");
   ASSERT_TRUE(full.ok());
-  auto directed = session_->QueryGoalDirected("?- reach(X, Y).");
+  auto directed = Directed("?- reach(X, Y).");
   ASSERT_TRUE(directed.ok());
   EXPECT_EQ(full->rows, directed->rows);
   EXPECT_EQ(full->columns, directed->columns);
 }
 
 TEST_F(GoalDirectedTest, PrunesUnrelatedCones) {
-  auto relevant = session_->RelevantRules("reach");
+  auto relevant = DependencyCone("reach", session_->rules());
   // Only the two reach rules (edge facts live in the EDB).
   EXPECT_EQ(relevant.size(), 2u);
   for (const Rule& rule : relevant) {
     EXPECT_EQ(rule.head.predicate, "reach");
   }
-  auto directed = session_->QueryGoalDirected("?- reach(X, Y).");
+  auto directed = Directed("?- reach(X, Y).");
   ASSERT_TRUE(directed.ok());
+  EXPECT_EQ(session_->last_exec_info().strategy, "magic");
   size_t directed_firings = session_->last_stats().rule_firings;
-  session_->Invalidate();
-  // Force the legacy full-materialization path for the comparison: with
-  // magic sets on, Query() itself prunes and fires even fewer rules.
-  session_->set_magic_enabled(false);
-  session_->set_cache_enabled(false);
-  auto full = session_->Query("?- reach(X, Y).");
+  auto full = Full("?- reach(X, Y).");
   ASSERT_TRUE(full.ok());
   size_t full_firings = session_->last_stats().rule_firings;
   EXPECT_LT(directed_firings, full_firings);
 }
 
 TEST_F(GoalDirectedTest, TransitiveConeIncluded) {
-  auto relevant = session_->RelevantRules("sym");
+  auto relevant = DependencyCone("sym", session_->rules());
   // sym depends on reach: 1 + 2 rules.
   EXPECT_EQ(relevant.size(), 3u);
-  auto directed = session_->QueryGoalDirected("?- sym(X, Y).");
+  auto directed = Directed("?- sym(X, Y).");
   ASSERT_TRUE(directed.ok());
   EXPECT_EQ(directed->rows.size(), 3u);  // ba, ca, cb
 }
 
 TEST_F(GoalDirectedTest, EdbGoalNeedsNoRules) {
-  auto relevant = session_->RelevantRules("edge");
+  auto relevant = DependencyCone("edge", session_->rules());
   EXPECT_TRUE(relevant.empty());
-  auto directed = session_->QueryGoalDirected("?- edge(X, Y).");
+  auto directed = Directed("?- edge(X, Y).");
   ASSERT_TRUE(directed.ok());
   EXPECT_EQ(directed->rows.size(), 2u);
 }
 
 TEST_F(GoalDirectedTest, ConstantFiltersStillApply) {
   ObjectId a = *db_.Resolve("a");
-  auto directed = session_->QueryGoalDirected("?- reach(a, Y).");
+  auto directed = Directed("?- reach(a, Y).");
   ASSERT_TRUE(directed.ok());
   EXPECT_EQ(directed->rows.size(), 2u);  // b and c
   for (const auto& row : directed->rows) {
@@ -96,7 +105,7 @@ TEST_F(GoalDirectedTest, ConstantFiltersStillApply) {
 }
 
 TEST_F(GoalDirectedTest, UnknownPredicateYieldsEmpty) {
-  auto directed = session_->QueryGoalDirected("?- nothing(X).");
+  auto directed = Directed("?- nothing(X).");
   ASSERT_TRUE(directed.ok());
   EXPECT_TRUE(directed->rows.empty());
 }

@@ -1,8 +1,9 @@
 // Property suite: merge joins are a pure access-path change. For seeded
 // random programs and goals, evaluation with merge joins enabled must return
 // exactly the rows of the hash-index evaluation — serially, in parallel, and
-// with the magic-set rewrite on or off. 30 seeds x 4 configurations = 120
-// equivalence cases, each checking full row content, not just counts.
+// under the magic-set rewrite or the full fixpoint. 30 seeds x 4
+// configurations = 120 equivalence cases, each checking full row content,
+// not just counts.
 
 #include <gtest/gtest.h>
 
@@ -103,7 +104,8 @@ void CheckEquivalence(uint64_t seed, size_t num_threads, bool magic) {
   options.num_threads = num_threads;
   QuerySession session(s.db.get(), options);
   session.set_cache_enabled(false);
-  session.set_magic_enabled(magic);
+  session.mutable_options()->strategy =
+      magic ? EvalStrategy::kMagic : EvalStrategy::kFixpoint;
   for (const Rule& rule : s.rules) ASSERT_TRUE(session.AddRule(rule).ok());
 
   for (const std::string& goal : GoalsFor(s, seed)) {

@@ -150,7 +150,7 @@ TEST(PlannerTest, AutoPicksGoalDirectedForBoundGoalEndToEnd) {
   auto bound = session.Query("?- path(c50, Y).");
   ASSERT_TRUE(bound.ok()) << bound.status();
   const QueryExecInfo& info = session.last_exec_info();
-  EXPECT_TRUE(info.used_qsqr || info.used_magic)
+  EXPECT_TRUE(info.strategy == "qsqr" || info.strategy == "magic")
       << "auto chose " << info.strategy;
   EXPECT_FALSE(info.plan_reason.empty());
   EXPECT_EQ(bound->rows.size(), 9u);

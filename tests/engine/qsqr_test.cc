@@ -1,7 +1,7 @@
 // The QSQR top-down evaluator: answer correctness on recursive programs,
 // goal-directed pruning (bound goals derive far fewer facts than the full
-// fixpoint), termination on cyclic data, and the decline conditions that
-// mirror the magic-set rewriter's.
+// fixpoint), termination on cyclic data, and how a forced qsqr resolves on
+// goals that goal direction must decline.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 #include <memory>
 #include <string>
 
-#include "src/engine/qsqr.h"
+#include "src/engine/magic.h"
 #include "src/engine/query.h"
 #include "src/lang/parser.h"
 #include "src/obs/stats.h"
@@ -40,11 +40,15 @@ class QsqrTest : public ::testing::Test {
     ASSERT_TRUE(session_->Load(program).ok());
   }
 
-  Result<QsqrResult> RunDirect(const std::string& query_text) {
+  // Why goal direction must decline the goal (empty when QSQR may run).
+  std::string Decline(const std::string& query_text) {
     auto q = Parser::ParseQuery(query_text);
-    VQLDB_RETURN_NOT_OK(q.status());
-    return QsqrEvaluator::Run(*q, session_->rules(), db_,
-                              session_->options());
+    EXPECT_TRUE(q.ok()) << q.status();
+    if (!q.ok()) return "";
+    const std::vector<Rule>& rules = session_->rules();
+    return GoalDirectedEligibility(
+        q->goal, DependencyCone(q->goal.predicate, rules), rules,
+        session_->options());
   }
 
   VideoDatabase db_;
@@ -61,7 +65,7 @@ TEST_F(QsqrTest, AnswersMatchFullMaterialization) {
     session_->mutable_options()->strategy = EvalStrategy::kQsqr;
     auto qsqr = session_->Query(goal);
     ASSERT_TRUE(qsqr.ok()) << goal << ": " << qsqr.status();
-    EXPECT_TRUE(session_->last_exec_info().used_qsqr) << goal;
+    EXPECT_EQ(session_->last_exec_info().strategy, "qsqr") << goal;
     session_->mutable_options()->strategy = EvalStrategy::kFixpoint;
     session_->Invalidate();
     auto full = session_->Query(goal);
@@ -74,7 +78,7 @@ TEST_F(QsqrTest, AnswersMatchFullMaterialization) {
 TEST_F(QsqrTest, BoundGoalDerivesFarFewerFacts) {
   auto qsqr = session_->Query("?- path(c9, Y).");
   ASSERT_TRUE(qsqr.ok()) << qsqr.status();
-  ASSERT_TRUE(session_->last_exec_info().used_qsqr);
+  ASSERT_EQ(session_->last_exec_info().strategy, "qsqr");
   EXPECT_EQ(session_->last_exec_info().strategy, "qsqr");
   EXPECT_EQ(session_->last_exec_info().adornment, "bf");
   size_t qsqr_derived = session_->last_stats().derived_facts;
@@ -97,7 +101,7 @@ TEST_F(QsqrTest, TerminatesOnCyclicData) {
   ASSERT_TRUE(session_->Load("edge(c11, c0).").ok());
   auto result = session_->Query("?- path(c0, Y).");
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(session_->last_exec_info().used_qsqr);
+  EXPECT_EQ(session_->last_exec_info().strategy, "qsqr");
   EXPECT_EQ(result->rows.size(), 12u);  // every node reachable from c0
 }
 
@@ -114,18 +118,22 @@ TEST_F(QsqrTest, UnresolvableGoalConstantErrors) {
 }
 
 TEST_F(QsqrTest, BuiltinClassGoalDeclines) {
-  auto qr = RunDirect("?- Interval(G).");
-  ASSERT_TRUE(qr.ok()) << qr.status();
-  EXPECT_FALSE(qr->applied);
-  EXPECT_NE(qr->reason.find("builtin"), std::string::npos);
+  EXPECT_NE(Decline("?- Interval(G).").find("builtin"), std::string::npos);
+  // The forced qsqr resolves to the full fixpoint and says why.
+  auto result = session_->Query("?- Object(X).");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->rows.size(), 12u);
+  EXPECT_EQ(session_->last_exec_info().strategy, "fixpoint");
+  EXPECT_NE(session_->last_exec_info().decline_reason.find("builtin"),
+            std::string::npos);
 }
 
 TEST_F(QsqrTest, ExtendedActiveDomainDeclines) {
   session_->mutable_options()->extended_active_domain = true;
-  auto qr = RunDirect("?- path(c0, Y).");
-  ASSERT_TRUE(qr.ok()) << qr.status();
-  EXPECT_FALSE(qr->applied);
-  EXPECT_NE(qr->reason.find("extended active domain"), std::string::npos);
+  EXPECT_NE(Decline("?- path(c0, Y).").find("extended active domain"),
+            std::string::npos);
+  ASSERT_TRUE(session_->Query("?- path(c0, Y).").ok());
+  EXPECT_EQ(session_->last_exec_info().strategy, "fixpoint");
 }
 
 TEST_F(QsqrTest, ConstructiveConeDeclinesAndFallbackAgrees) {
@@ -135,14 +143,13 @@ TEST_F(QsqrTest, ConstructiveConeDeclinesAndFallbackAgrees) {
                          "seg(gi1). seg(gi2).\n"
                          "combo(G1 ++ G2) <- seg(G1), seg(G2).\n")
                   .ok());
-  auto qr = RunDirect("?- combo(G).");
-  ASSERT_TRUE(qr.ok()) << qr.status();
-  EXPECT_FALSE(qr->applied);
-  EXPECT_NE(qr->reason.find("constructive"), std::string::npos);
-  // Through the session the decline falls back and still answers.
+  EXPECT_NE(Decline("?- combo(G).").find("constructive"), std::string::npos);
+  // Through the session the plan resolves to the fixpoint and answers.
   auto a = session_->Query("?- combo(G).");
   ASSERT_TRUE(a.ok()) << a.status();
-  EXPECT_FALSE(session_->last_exec_info().used_qsqr);
+  EXPECT_EQ(session_->last_exec_info().strategy, "fixpoint");
+  EXPECT_NE(session_->last_exec_info().decline_reason.find("constructive"),
+            std::string::npos);
   session_->mutable_options()->strategy = EvalStrategy::kFixpoint;
   session_->Invalidate();
   auto b = session_->Query("?- combo(G).");
@@ -153,7 +160,9 @@ TEST_F(QsqrTest, ConstructiveConeDeclinesAndFallbackAgrees) {
 TEST_F(QsqrTest, SysGoalFallsBackToMagicPath) {
   auto result = session_->Query("?- sys_relations(P, A, R, B, S).");
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_FALSE(session_->last_exec_info().used_qsqr);
+  EXPECT_EQ(session_->last_exec_info().strategy, "magic");
+  EXPECT_EQ(session_->last_exec_info().decline_reason,
+            "goal observes sys_* relations");
   EXPECT_FALSE(result->rows.empty());
 }
 

@@ -1,7 +1,8 @@
 // The memoizing query cache: hits without re-evaluation, epoch-based
 // invalidation on database mutation (direct and via journal replay),
 // canonical variable renaming, the LRU capacity bound, and the epoch
-// subtlety of constructive evaluation.
+// subtlety of constructive evaluation — for the answer cache and for the
+// session's cached full fixpoint alike.
 
 #include <gtest/gtest.h>
 
@@ -251,6 +252,58 @@ TEST_F(QueryCacheTest, ConstructiveEvaluationStoresPostEpoch) {
   auto second = session_->Query("?- combo(G).");
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(session_->last_exec_info().cache_hit);
+  EXPECT_EQ(first->rows, second->rows);
+}
+
+TEST(FixpointCacheTest, DirectDatabaseMutationInvalidatesViaEpoch) {
+  // The free goal has nothing to prune, so the planner answers it from the
+  // full fixpoint and caches that fixpoint. A direct write — no
+  // Invalidate() — must reach the next answer, whichever strategy serves it.
+  VideoDatabase db;
+  QuerySession session(&db);
+  ASSERT_TRUE(session
+                  .Load("object a {}. object b {}. object c {}.\n"
+                        "e(a, b).\n"
+                        "r(X, Y) <- e(X, Y).\n")
+                  .ok());
+  auto before = session.Query("?- r(X, Y).");
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_EQ(session.last_exec_info().strategy, "fixpoint");
+  EXPECT_EQ(before->rows.size(), 1u);
+
+  ASSERT_TRUE(db.AssertFact("e", {Value::Oid(*db.Resolve("b")),
+                                  Value::Oid(*db.Resolve("c"))})
+                  .ok());
+  auto after = session.Query("?- r(X, Y).");
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->rows.size(), 2u);
+  auto bound = session.Query("?- r(b, Y).");
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  EXPECT_EQ(bound->rows.size(), 1u);  // (b, c), the new row
+}
+
+TEST(FixpointCacheTest, ConstructiveFixpointStaysCachedAtItsPostEpoch) {
+  // Materializing the fixpoint creates derived intervals and so advances
+  // the database epoch; the cached fixpoint is stamped after evaluation,
+  // so the identical follow-up query reuses it instead of re-evaluating.
+  VideoDatabase db;
+  QuerySession session(&db);
+  session.set_cache_enabled(false);
+  session.mutable_options()->strategy = EvalStrategy::kFixpoint;
+  ASSERT_TRUE(session
+                  .Load("interval gi1 { duration: (t > 0 and t < 5) }.\n"
+                        "interval gi2 { duration: (t > 5 and t < 9) }.\n"
+                        "seg(gi1). seg(gi2).\n"
+                        "combo(G1 ++ G2) <- seg(G1), seg(G2).\n")
+                  .ok());
+  const uint64_t epoch0 = db.epoch();
+  auto first = session.Query("?- combo(G).");
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_GT(db.epoch(), epoch0);
+  const uint64_t fixpoints = CounterValue("vqldb_eval_fixpoints_total");
+  auto second = session.Query("?- combo(G).");
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(CounterValue("vqldb_eval_fixpoints_total"), fixpoints);
   EXPECT_EQ(first->rows, second->rows);
 }
 

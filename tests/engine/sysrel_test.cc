@@ -135,7 +135,7 @@ TEST_F(SysRelSessionTest, SysJoinByteIdenticalAcrossStrategies) {
   const char* kJoinRule =
       "hot(P, R) <- sys_relations(P, A, R, B, S), tag(X, Y).\n";
   const char* kGoal = "?- hot(P, R).";
-  // Reference: the default session (magic on, auto threads).
+  // Reference: the default session (auto strategy, auto threads).
   ASSERT_TRUE(session_->Load(kJoinRule).ok());
   auto reference = session_->Query(kGoal);
   ASSERT_TRUE(reference.ok()) << reference.status();
@@ -144,14 +144,18 @@ TEST_F(SysRelSessionTest, SysJoinByteIdenticalAcrossStrategies) {
 
   struct Config {
     size_t threads;
-    bool magic;
+    EvalStrategy strategy;
   };
   for (const Config& config : std::vector<Config>{
-           {1, true}, {1, false}, {2, true}, {2, false}, {8, true}}) {
+           {1, EvalStrategy::kMagic},
+           {1, EvalStrategy::kFixpoint},
+           {2, EvalStrategy::kMagic},
+           {2, EvalStrategy::kFixpoint},
+           {8, EvalStrategy::kAuto}}) {
     EvalOptions options;
     options.num_threads = config.threads;
     QuerySession other(&db_, options);
-    other.set_magic_enabled(config.magic);
+    other.mutable_options()->strategy = config.strategy;
     ASSERT_TRUE(other
                     .Load("path(X, Y) <- edge(X, Y).\n"
                           "path(X, Z) <- path(X, Y), edge(Y, Z).\n")
@@ -160,7 +164,8 @@ TEST_F(SysRelSessionTest, SysJoinByteIdenticalAcrossStrategies) {
     auto result = other.Query(kGoal);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->ToString(&db_), expected)
-        << "threads=" << config.threads << " magic=" << config.magic;
+        << "threads=" << config.threads
+        << " strategy=" << EvalStrategyName(config.strategy);
   }
 }
 

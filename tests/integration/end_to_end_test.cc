@@ -149,28 +149,26 @@ TEST_F(EndToEndTest, SessionCachingAndInvalidation) {
   Annotator annotator(&db);
   ASSERT_TRUE(annotator.AnnotateTimeline(timeline_).ok());
   QuerySession session(&db);
-  // The legacy full-materialization contract under test: disable the
-  // goal-directed path (which evaluates against the live database) so
-  // queries answer from the session's cached fixpoint.
-  session.set_magic_enabled(false);
+  // Answer from the session's cached full fixpoint (no goal direction).
+  session.mutable_options()->strategy = EvalStrategy::kFixpoint;
   ASSERT_TRUE(session.Load(StandardRuleLibrary()).ok());
   auto before = session.Query("?- appears(O, G).");
   ASSERT_TRUE(before.ok());
-  // External mutation without Invalidate: the cache still answers with the
-  // old fixpoint; after Invalidate the new entity shows up. (The query
-  // cache does not mask this: it keys on the database epoch, which the
-  // mutation advances.)
+  // External mutation without Invalidate: the cached fixpoint, like the
+  // query cache, keys on the database epoch, which the mutation advances,
+  // so the next query re-materializes and sees the new entity.
   ObjectId extra = *db.CreateEntity("latecomer");
   ObjectId gi =
       *db.CreateInterval("late_scene", GeneralizedInterval::Single(500, 510));
   ASSERT_TRUE(db.AddEntityToInterval(gi, extra).ok());
-  auto stale = session.Query("?- appears(latecomer, G).");
-  ASSERT_TRUE(stale.ok());
-  EXPECT_TRUE(stale->rows.empty());
-  session.Invalidate();
   auto fresh = session.Query("?- appears(latecomer, G).");
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->rows.size(), 1u);
+  // Invalidate() drops both caches; the answer is the same.
+  session.Invalidate();
+  auto again = session.Query("?- appears(latecomer, G).");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->rows, fresh->rows);
 }
 
 TEST_F(EndToEndTest, GoalDirectedDefaultSeesLiveDatabase) {
@@ -181,9 +179,9 @@ TEST_F(EndToEndTest, GoalDirectedDefaultSeesLiveDatabase) {
   ASSERT_TRUE(session.Load(StandardRuleLibrary()).ok());
   auto before = session.Query("?- appears(O, G).");
   ASSERT_TRUE(before.ok());
-  // With magic-set evaluation on (the default), each query evaluates
-  // against the live database and the query cache self-invalidates via the
-  // mutation epoch — external mutation needs no Invalidate() call.
+  // Under the default auto strategy, whichever engine answers reads the
+  // live database and both caches self-invalidate via the mutation epoch —
+  // external mutation needs no Invalidate() call.
   ObjectId extra = *db.CreateEntity("latecomer");
   ObjectId gi =
       *db.CreateInterval("late_scene", GeneralizedInterval::Single(500, 510));

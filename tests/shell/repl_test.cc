@@ -320,18 +320,6 @@ TEST_F(ReplTest, TimeoutRejectsMalformedNumbers) {
   EXPECT_EQ(repl_.Execute(".timeout off"), "query timeout: off\n");
 }
 
-TEST_F(ReplTest, MagicToggleRoundTrips) {
-  EXPECT_EQ(repl_.Execute(".magic"), "magic sets: on\n");  // default on
-  EXPECT_EQ(repl_.Execute(".magic off"), "magic sets: off\n");
-  EXPECT_EQ(repl_.Execute(".magic"), "magic sets: off\n");
-  EXPECT_EQ(repl_.Execute(".magic on"), "magic sets: on\n");
-  EXPECT_EQ(repl_.Execute(".magic sideways"), "usage: .magic [on|off]\n");
-  // Queries still run after toggling.
-  EXPECT_EQ(repl_.Execute("object a {}."), "ok\n");
-  EXPECT_EQ(repl_.Execute("p(a)."), "ok\n");
-  EXPECT_NE(repl_.Execute("?- p(X).").find("a"), std::string::npos);
-}
-
 TEST_F(ReplTest, CacheCommandReportsTogglesAndClears) {
   EXPECT_EQ(repl_.Execute(".cache"), "query cache: on (0 entries)\n");
   EXPECT_EQ(repl_.Execute("object a {}."), "ok\n");

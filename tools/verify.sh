@@ -64,7 +64,12 @@
 #    hierarchy moves ownership across queries, caches, and rollbacks; the
 #    dictionary arena and segment seal/merge paths juggle raw pointers;
 #    shard recovery tears down and rebuilds per-shard databases — exactly
-#    where lifetime bugs would live).
+#    where lifetime bugs would live), plus the query pipeline's strategy,
+#    magic-set, goal-directed and end-to-end suites.
+# 7a. Configure + build with -DVQLDB_SANITIZE=undefined and run the engine
+#    suites that drive the query pipeline (strategy dispatch, magic sets,
+#    QSQR, planner, goal direction, EXPLAIN, system relations, end to end)
+#    under UBSan, halting on the first runtime error.
 # 8. Configure + build with -DVQLDB_SANITIZE=thread and run the fixpoint
 #    determinism test, the thread-pool tests, the admission-gate stress
 #    test, the dictionary/columnar tests (lock-free Get, concurrent
@@ -124,7 +129,7 @@ grep -q "Deadline exceeded" "$OBS_TMP/deadline.out" \
 [ "$deadline_rc" -eq 4 ] \
   || { echo "expected deadline exit code 4, got $deadline_rc"; exit 1; }
 
-echo "== magic smoke: selective query answers identical with --no-magic =="
+echo "== magic smoke: selective query answers identical with --strategy=fixpoint =="
 {
   for i in $(seq 0 60); do echo "object n$i { }."; done
   for i in $(seq 0 59); do echo "edge(n$i, n$((i+1)))."; done
@@ -135,7 +140,8 @@ echo "== magic smoke: selective query answers identical with --no-magic =="
   echo ".quit"
 } > "$OBS_TMP/magic.vql"
 ./build/tools/vql <"$OBS_TMP/magic.vql" >"$OBS_TMP/magic_on.out"
-./build/tools/vql --no-magic --no-cache <"$OBS_TMP/magic.vql" >"$OBS_TMP/magic_off.out"
+./build/tools/vql --strategy=fixpoint --no-cache <"$OBS_TMP/magic.vql" \
+    >"$OBS_TMP/magic_off.out"
 diff "$OBS_TMP/magic_on.out" "$OBS_TMP/magic_off.out" \
   || { echo "goal-directed answers diverge from the full fixpoint"; exit 1; }
 grep -q "magic: on" <(./build/tools/vql <<< $'object a { }.\np(a).\nexplain ?- p(X).\n.quit') \
@@ -185,10 +191,10 @@ echo "== columnar smoke: join answers identical with --no-merge-join =="
   echo "?- wedge(n5, Z)."
   echo ".quit"
 } > "$OBS_TMP/columnar.vql"
-./build/tools/vql --no-magic --no-cache <"$OBS_TMP/columnar.vql" \
+./build/tools/vql --strategy=fixpoint --no-cache <"$OBS_TMP/columnar.vql" \
     >"$OBS_TMP/columnar_merge.out"
-./build/tools/vql --no-magic --no-cache --no-merge-join <"$OBS_TMP/columnar.vql" \
-    >"$OBS_TMP/columnar_hash.out"
+./build/tools/vql --strategy=fixpoint --no-cache --no-merge-join \
+    <"$OBS_TMP/columnar.vql" >"$OBS_TMP/columnar_hash.out"
 diff "$OBS_TMP/columnar_merge.out" "$OBS_TMP/columnar_hash.out" \
   || { echo "merge-join answers diverge from the hash-index fixpoint"; exit 1; }
 grep -q "join strategy:" <(./build/tools/vql \
@@ -343,7 +349,8 @@ cmake --build build-asan -j "$JOBS" \
            backoff_test shard_manifest_test shard_store_test \
            qsqr_test planner_test wire_test http_test snapshot_test \
            server_test stored_relation_test edb_access_test database_test \
-           clone_test
+           clone_test strategy_property_test magic_sets_test \
+           goal_directed_test end_to_end_test
 
 echo "== asan: budget + gate + governor + dictionary + columnar + shards + planner =="
 ./build-asan/tests/budget_test
@@ -358,6 +365,12 @@ echo "== asan: budget + gate + governor + dictionary + columnar + shards + plann
 ./build-asan/tests/qsqr_test
 ./build-asan/tests/planner_test
 
+echo "== asan: query pipeline (strategies, magic sets, goal direction, e2e) =="
+./build-asan/tests/strategy_property_test
+./build-asan/tests/magic_sets_test
+./build-asan/tests/goal_directed_test
+./build-asan/tests/end_to_end_test
+
 echo "== asan: stored relations + in-place EDB access =="
 ./build-asan/tests/stored_relation_test
 ./build-asan/tests/database_test
@@ -371,6 +384,18 @@ echo "== asan: server protocol + end-to-end (framing, sessions, drain) =="
 ./build-asan/tests/http_test
 ./build-asan/tests/snapshot_test
 ./build-asan/tests/server_test
+
+echo "== ubsan: build (-DVQLDB_SANITIZE=undefined) =="
+UBSAN_SUITES="strategy_property_test magic_sets_test qsqr_test planner_test \
+  goal_directed_test explain_test sysrel_test end_to_end_test"
+cmake -B build-ubsan -S . -DVQLDB_SANITIZE=undefined >/dev/null
+# shellcheck disable=SC2086
+cmake --build build-ubsan -j "$JOBS" --target $UBSAN_SUITES
+
+echo "== ubsan: query pipeline engine suites =="
+for t in $UBSAN_SUITES; do
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" "./build-ubsan/tests/$t"
+done
 
 echo "== tsan: build (-DVQLDB_SANITIZE=thread) =="
 cmake -B build-tsan -S . -DVQLDB_SANITIZE=thread >/dev/null

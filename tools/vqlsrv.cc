@@ -208,15 +208,7 @@ int main(int argc, char** argv) {
     }
     if (StartsWith(arg, "--strategy=")) {
       std::string value = arg.substr(std::string("--strategy=").size());
-      if (value == "auto") {
-        sopts.eval_options.strategy = EvalStrategy::kAuto;
-      } else if (value == "qsqr") {
-        sopts.eval_options.strategy = EvalStrategy::kQsqr;
-      } else if (value == "magic") {
-        sopts.eval_options.strategy = EvalStrategy::kMagic;
-      } else if (value == "fixpoint") {
-        sopts.eval_options.strategy = EvalStrategy::kFixpoint;
-      } else {
+      if (!ParseEvalStrategy(value, &sopts.eval_options.strategy)) {
         std::cerr << "--strategy: unknown strategy " << value << "\n";
         return 1;
       }
